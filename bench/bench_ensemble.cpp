@@ -148,13 +148,13 @@ int main(int argc, char** argv) {
   for (const Backend& b : backends) {
     const auto sim = api::simulators().create(b.name, b.spec);
     const core::PerSimReference persim(*sim);
-    const std::vector<epi::Checkpoint> parents = {
-        sim->initial_state(kParentDay, 7)};
+    const auto parents = sim->make_pool();
+    parents->append_checkpoint(sim->initial_state(kParentDay, 7));
     core::EnsembleBuffer buf =
         make_buffer(b.n_params, replicates, window_len, 4242);
 
     // Warm up caches (delay tables, allocator) outside the timings.
-    sim->run_batch(parents, kToDay, buf, 0, buf.size());
+    sim->run_batch(*parents, kToDay, buf, 0, buf.size());
 
     for (const int threads : thread_counts) {
       parallel::set_threads(threads);
@@ -164,10 +164,10 @@ int main(int argc, char** argv) {
       cell.n_sims = buf.size();
       cell.window_len = window_len;
       cell.batch = time_repeats(repeats, [&] {
-        sim->run_batch(parents, kToDay, buf, 0, buf.size());
+        sim->run_batch(*parents, kToDay, buf, 0, buf.size());
       });
       cell.persim = time_repeats(repeats, [&] {
-        persim.run_batch(parents, kToDay, buf, 0, buf.size());
+        persim.run_batch(*parents, kToDay, buf, 0, buf.size());
       });
       cells.push_back(cell);
       std::cout << b.name << " @ " << threads << " threads: per-sim "
@@ -190,11 +190,11 @@ int main(int argc, char** argv) {
   {
     parallel::set_threads(1);
     const auto sim = api::simulators().create("seir-event", backends[0].spec);
-    const std::vector<epi::Checkpoint> parents = {
-        sim->initial_state(kParentDay, 7)};
+    const auto parents = sim->make_pool();
+    parents->append_checkpoint(sim->initial_state(kParentDay, 7));
     core::EnsembleBuffer buf =
         make_buffer(n_params, replicates, window_len, 4242);
-    sim->run_batch(parents, kToDay, buf, 0, buf.size());
+    sim->run_batch(*parents, kToDay, buf, 0, buf.size());
     scoring_sims = buf.size();
 
     const core::BinomialBias bias;

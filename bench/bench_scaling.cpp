@@ -159,14 +159,14 @@ int main(int argc, char** argv) {
 
   for (const Simulator& s : sims) {
     const auto sim = api::simulators().create(s.name, s.spec);
-    const std::vector<epi::Checkpoint> parents = {
-        sim->initial_state(kParentDay, 7)};
+    const auto parents = sim->make_pool();
+    parents->append_checkpoint(sim->initial_state(kParentDay, 7));
     core::EnsembleBuffer buf =
         make_buffer(s.n_params, replicates, window_len, 4242);
 
     // Warm up caches (delay tables, allocator) outside the timings, and
     // fix the observation series the scoring pass conditions on.
-    sim->run_batch(parents, kToDay, buf, 0, buf.size());
+    sim->run_batch(*parents, kToDay, buf, 0, buf.size());
     const core::BinomialBias bias;
     const core::GaussianSqrtLikelihood lik(1.0);
     const std::vector<double> observed(buf.true_cases(0).begin(),
@@ -176,9 +176,9 @@ int main(int argc, char** argv) {
     std::vector<double> scores(buf.size());
     // One propagate+score pass under the currently selected backend and
     // thread budget. Scratch is per-thread, indexed exactly like
-    // batch_runner's workspaces: thread_id() < max_threads().
+    // ModelSimulator's workspaces: thread_id() < max_threads().
     const auto pass = [&] {
-      sim->run_batch(parents, kToDay, buf, 0, buf.size());
+      sim->run_batch(*parents, kToDay, buf, 0, buf.size());
       std::vector<std::vector<double>> scratch(
           static_cast<std::size_t>(parallel::max_threads()),
           std::vector<double>(window_len));

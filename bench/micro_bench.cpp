@@ -208,7 +208,8 @@ void BM_EnsemblePropagate(benchmark::State& state) {
   spec.initial_exposed = spec.params.population / 400;
   const auto sim = api::simulators().create(backend, spec);
   const core::PerSimReference persim(*sim);
-  const std::vector<epi::Checkpoint> parents = {sim->initial_state(19, 7)};
+  const auto parents = sim->make_pool();
+  parents->append_checkpoint(sim->initial_state(19, 7));
 
   const std::size_t n_sims = state.range(0) == 2 ? 8 : 32;
   core::EnsembleBuffer buf(n_sims, 14);
@@ -223,11 +224,11 @@ void BM_EnsemblePropagate(benchmark::State& state) {
   // machine default once (before the first benchmark mutates it).
   static const int kMachineThreads = parallel::max_threads();
   parallel::set_threads(threads);
-  const core::Simulator& driver = use_batch
+  const core::Simulator& target = use_batch
                                       ? static_cast<const core::Simulator&>(*sim)
                                       : persim;
   for (auto _ : state) {
-    driver.run_batch(parents, 33, buf, 0, n_sims);
+    target.run_batch(*parents, 33, buf, 0, n_sims);
     benchmark::DoNotOptimize(buf.true_cases(0).data());
   }
   parallel::set_threads(kMachineThreads);

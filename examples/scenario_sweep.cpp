@@ -3,7 +3,7 @@
 // ROADMAP's "as many scenarios as you can imagine".
 //
 // Each (scenario, simulator) cell runs a full sequential calibration;
-// cells execute OpenMP-parallel and the sweep output is byte-identical
+// cells execute in parallel and the sweep output is byte-identical
 // regardless of --threads (counter-based RNG addressing, see
 // parallel/parallel.hpp).
 //

@@ -4,8 +4,8 @@
 //
 //   1. Sample (theta_i, s_i, rho_i) from the window proposal.
 //   2. Propagate all tuples through one fused Simulator::run_batch call
-//      over a structure-of-arrays EnsembleBuffer (OpenMP-parallel inside
-//      the backend; every trajectory owns a counter-based RNG stream
+//      over a structure-of-arrays EnsembleBuffer (parallel inside the
+//      backend; every trajectory owns a counter-based RNG stream
 //      addressed by its identity, so results are independent of thread
 //      count). The same sweep applies the reporting bias, scores the
 //      window likelihood against a precomputed observation cache, and --

@@ -14,16 +14,21 @@
 // equally well to other stochastic simulation models".
 //
 // The hot path drives simulators through the pool-based run_batch: one call
-// propagates a contiguous range of an EnsembleBuffer (OpenMP-parallel
-// inside) from typed StatePool parents, writing the window series straight
-// into the buffer's day-major rows. A BatchSink fuses the rest of the
-// window into the same sweep: end states are captured into a typed pool
-// and a per-sim hook (bias + likelihood in the importance sampler) runs as
-// soon as a row is filled, so the ensemble is swept once. The base class
-// bridges everything through run_window and epi::Checkpoint conversion, so
-// a custom registry simulator only has to implement run_window; built-in
-// backends override make_pool/run_batch with engines that copy-and-branch
-// pooled prototype models with zero (de)serialization.
+// propagates a contiguous range of an EnsembleBuffer (parallel inside) from
+// StatePool parents, writing the window series straight into the buffer's
+// day-major rows. A BatchSink fuses the rest of the window into the same
+// sweep: end states are captured into a pool and a per-sim hook (bias +
+// likelihood in the importance sampler) runs as soon as a row is filled, so
+// the ensemble is swept once.
+//
+// Two ways to implement the contract:
+//  * a custom registry simulator implements run_window only; the base class
+//    bridges every batch kernel through it, one call per trajectory, with
+//    states crossing the epi::Checkpoint io boundary;
+//  * a checkpointable model type derives from ModelSimulator<Model>, which
+//    supplies every kernel (typed pools, copy-and-branch batches, in-place
+//    streaming advance) -- the built-in backends add only initial_state,
+//    name and, where needed, a prepare hook.
 
 #include <cstdint>
 #include <functional>
@@ -75,7 +80,8 @@ class Simulator {
 
   /// Branch from `state`: apply (theta from the next day, new RNG
   /// identity), simulate through `to_day` inclusive, extract the series
-  /// for days [state.day + 1, to_day].
+  /// for days [state.day + 1, to_day]. Must be thread-safe: the base-class
+  /// batch kernels call it concurrently, one call per trajectory.
   [[nodiscard]] virtual WindowRun run_window(const epi::Checkpoint& state,
                                              double theta, std::uint64_t seed,
                                              std::uint64_t stream,
@@ -83,9 +89,8 @@ class Simulator {
                                              bool want_checkpoint) const = 0;
 
   /// An empty state pool of this backend's native representation. The
-  /// default is the byte-blob CheckpointStatePool (custom simulators keep
-  /// their historical cost model); built-in backends return typed
-  /// ModelStatePool<Model> pools.
+  /// default is the byte-blob CheckpointStatePool; ModelSimulator backends
+  /// return typed ModelStatePool<Model> pools.
   [[nodiscard]] virtual std::unique_ptr<StatePool> make_pool() const;
 
   /// Single-pass batch kernel: propagate sims [first, first + count) of
@@ -95,23 +100,21 @@ class Simulator {
   /// death series into the buffer rows, then apply the sink (end-state
   /// capture into a pool slot, fused per-sim hook).
   ///
-  /// Parallel inside (OpenMP over the range); results are independent of
-  /// the thread count because every trajectory's randomness is addressed
-  /// by its (seed, stream) columns. The default implementation converts
-  /// the parents across the pool's checkpoint io boundary (once per
-  /// referenced parent) and dispatches through the virtual checkpoint-span
-  /// overload below -- so custom registry simulators work unchanged,
-  /// including any native span batch engine they implemented; built-in
-  /// backends override this overload with fused engines that
-  /// copy-and-branch typed pool prototypes.
+  /// Parallel inside; results are independent of the thread count because
+  /// every trajectory's randomness is addressed by its (seed, stream)
+  /// columns. The default implementation is the per-sim reference path: it
+  /// converts each referenced parent across the pool's checkpoint io
+  /// boundary once and calls run_window per sim, capturing and scoring in
+  /// the same sweep.
   virtual void run_batch(const StatePool& parents, std::int32_t to_day,
                          EnsembleBuffer& buffer, std::size_t first,
                          std::size_t count, const BatchSink& sink = {}) const;
 
-  /// Checkpoint-span compatibility overload: parents arrive as portable
-  /// byte blobs (the io boundary) and end states leave the same way.
-  /// Equivalent to pooling the parents and serializing the capture pool;
-  /// the pool-based overload above is the hot path.
+  /// Io-boundary adapter over the pool-based overload: parents arrive as
+  /// portable checkpoints and end states (when `end_states` is non-empty,
+  /// sized `count`) leave the same way. Parses the parents into a
+  /// make_pool() pool and dispatches through the virtual pool overload, so
+  /// every backend runs its own batch engine here. Not a hot path.
   virtual void run_batch(std::span<const epi::Checkpoint> parents,
                          std::int32_t to_day, EnsembleBuffer& buffer,
                          std::size_t first, std::size_t count,
@@ -125,11 +128,11 @@ class Simulator {
   /// bit-identical to one run_batch over the union of the days. Every
   /// buffer parent column must reference the slot itself (parent[s] == s).
   ///
-  /// The default implementation round-trips the slots across the
-  /// checkpoint io boundary and re-branches through the span run_batch
-  /// using the buffer's (seed, stream) columns -- distribution-correct for
-  /// custom registry backends (each call consumes a fresh per-day stream),
-  /// but only the typed overrides carry the bit-equality guarantee.
+  /// The default implementation round-trips each slot across the
+  /// checkpoint io boundary and re-branches it through run_window using the
+  /// buffer's (seed, stream) columns -- distribution-correct for custom
+  /// registry backends (each call consumes a fresh per-day stream), but
+  /// only ModelSimulator carries the bit-equality guarantee.
   virtual void advance_batch(StatePool& states, std::int32_t to_day,
                              EnsembleBuffer& buffer, std::size_t first,
                              std::size_t count,
@@ -140,8 +143,8 @@ class Simulator {
   /// (seed, streams[i], thetas[i]) identity so duplicated particles
   /// diverge from the next day on. The default implementation only
   /// gathers -- sound because the default advance_batch re-branches every
-  /// call from the buffer's per-day stream columns anyway; typed backends
-  /// re-seed the pooled models' own engines here.
+  /// call from the buffer's per-day stream columns anyway; ModelSimulator
+  /// re-seeds the pooled models' own engines here.
   virtual void resample_states(StatePool& states,
                                std::span<const std::uint32_t> ancestors,
                                std::uint64_t seed,
@@ -152,19 +155,18 @@ class Simulator {
 
  protected:
   /// Throws unless the run_batch arguments are coherent: range within the
-  /// buffer, parent columns within `parents`, end_states sized `count`.
-  /// Backends call this before entering their parallel region so argument
-  /// bugs surface as exceptions, not as racy out-of-bounds writes.
-  void validate_batch_args(std::span<const epi::Checkpoint> parents,
-                           const EnsembleBuffer& buffer, std::size_t first,
-                           std::size_t count,
-                           std::span<const epi::Checkpoint> end_states) const;
-
-  /// Pool-flavoured variant: parent slots within the pool, capture pool
-  /// (when present) spanning the propagated range.
+  /// buffer, parent columns within `parents`, capture pool (when present)
+  /// spanning the propagated range. Kernels call this before entering
+  /// their parallel region so argument bugs surface as exceptions, not as
+  /// racy out-of-bounds writes.
   void validate_batch_args(const StatePool& parents,
                            const EnsembleBuffer& buffer, std::size_t first,
                            std::size_t count, const BatchSink& sink) const;
+
+  /// Throws unless `ancestors`, `streams` and `thetas` align.
+  static void validate_resample_args(std::span<const std::uint32_t> ancestors,
+                                     std::span<const std::uint64_t> streams,
+                                     std::span<const double> thetas);
 };
 
 /// Adapter pinning run_batch to the base-class per-sim reference
@@ -200,6 +202,58 @@ class PerSimReference final : public Simulator {
   const Simulator& inner_;
 };
 
+/// The one simulator adapter for checkpointable model types. Model must
+/// provide restore(ckpt, RestartOverrides), branch(seed, stream, theta),
+/// run_until_day, day(), trajectory() and make_checkpoint() -- the shared
+/// contract of SeirModel, ChainBinomialModel and abm::AgentBasedModel.
+///
+/// Every kernel works on typed ModelStatePool<Model> pools:
+///   * run_batch reads parent prototypes straight out of the pool (no
+///     checkpoint parsing), copy-assigns each into a per-thread scratch
+///     model -- reusing the event-ring / trajectory / agent-array capacity
+///     the previous sim on that thread left behind, so the loop does not
+///     allocate in steady state -- branch()es it to the sim's (seed,
+///     stream, theta) columns, runs the window, stores the series, captures
+///     the end state (typed copy) and runs the fused per-sim hook;
+///   * advance_batch steps the pooled models in place (streaming);
+///   * resample_states gathers ancestors and re-branches the copies.
+/// Results are bit-identical to restore-per-sim (run_window): branch()
+/// reproduces the exact engine/schedule state restore(ckpt, {seed, stream,
+/// theta}) builds, and every trajectory's randomness is addressed purely by
+/// its columns.
+///
+/// Member definitions live in core/model_simulator.hpp; a backend includes
+/// it once, in the translation unit that explicitly instantiates its Model.
+template <typename Model>
+class ModelSimulator : public Simulator {
+ public:
+  [[nodiscard]] WindowRun run_window(const epi::Checkpoint& state, double theta,
+                                     std::uint64_t seed, std::uint64_t stream,
+                                     std::int32_t to_day,
+                                     bool want_checkpoint) const final;
+  [[nodiscard]] std::unique_ptr<StatePool> make_pool() const final;
+  using Simulator::run_batch;
+  void run_batch(const StatePool& parents, std::int32_t to_day,
+                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
+                 const BatchSink& sink = {}) const final;
+  void advance_batch(StatePool& states, std::int32_t to_day,
+                     EnsembleBuffer& buffer, std::size_t first,
+                     std::size_t count,
+                     const BatchSink& sink = {}) const final;
+  void resample_states(StatePool& states,
+                       std::span<const std::uint32_t> ancestors,
+                       std::uint64_t seed,
+                       std::span<const std::uint64_t> streams,
+                       std::span<const double> thetas) const final;
+
+ protected:
+  /// Runs on every model right before it propagates (after restore or
+  /// copy-from-prototype, before branch()): the hook for per-model
+  /// execution configuration that rides along in checkpoints but must
+  /// follow the simulator instead. No-op by default.
+  virtual void prepare(Model& /*model*/) const {}
+};
+
 /// Shared configuration for the concrete epi-model simulators.
 struct EpiSimulatorConfig {
   epi::DiseaseParameters params;
@@ -207,8 +261,11 @@ struct EpiSimulatorConfig {
   std::int64_t initial_exposed = 400; // seeding at day 0
 };
 
+extern template class ModelSimulator<epi::SeirModel>;
+extern template class ModelSimulator<epi::ChainBinomialModel>;
+
 /// Simulator backed by the event-driven SeirModel.
-class SeirSimulator final : public Simulator {
+class SeirSimulator final : public ModelSimulator<epi::SeirModel> {
  public:
   explicit SeirSimulator(EpiSimulatorConfig config) : config_(config) {
     config_.params.validate();
@@ -216,26 +273,6 @@ class SeirSimulator final : public Simulator {
 
   [[nodiscard]] epi::Checkpoint initial_state(std::int32_t day,
                                               std::uint64_t seed) const override;
-  [[nodiscard]] WindowRun run_window(const epi::Checkpoint& state, double theta,
-                                     std::uint64_t seed, std::uint64_t stream,
-                                     std::int32_t to_day,
-                                     bool want_checkpoint) const override;
-  [[nodiscard]] std::unique_ptr<StatePool> make_pool() const override;
-  void run_batch(const StatePool& parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 const BatchSink& sink = {}) const override;
-  void run_batch(std::span<const epi::Checkpoint> parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 std::span<epi::Checkpoint> end_states = {}) const override;
-  void advance_batch(StatePool& states, std::int32_t to_day,
-                     EnsembleBuffer& buffer, std::size_t first,
-                     std::size_t count,
-                     const BatchSink& sink = {}) const override;
-  void resample_states(StatePool& states,
-                       std::span<const std::uint32_t> ancestors,
-                       std::uint64_t seed,
-                       std::span<const std::uint64_t> streams,
-                       std::span<const double> thetas) const override;
   [[nodiscard]] std::string name() const override { return "seir-event"; }
 
  private:
@@ -243,7 +280,8 @@ class SeirSimulator final : public Simulator {
 };
 
 /// Simulator backed by the memoryless chain-binomial baseline.
-class ChainBinomialSimulator final : public Simulator {
+class ChainBinomialSimulator final
+    : public ModelSimulator<epi::ChainBinomialModel> {
  public:
   explicit ChainBinomialSimulator(EpiSimulatorConfig config) : config_(config) {
     config_.params.validate();
@@ -251,26 +289,6 @@ class ChainBinomialSimulator final : public Simulator {
 
   [[nodiscard]] epi::Checkpoint initial_state(std::int32_t day,
                                               std::uint64_t seed) const override;
-  [[nodiscard]] WindowRun run_window(const epi::Checkpoint& state, double theta,
-                                     std::uint64_t seed, std::uint64_t stream,
-                                     std::int32_t to_day,
-                                     bool want_checkpoint) const override;
-  [[nodiscard]] std::unique_ptr<StatePool> make_pool() const override;
-  void run_batch(const StatePool& parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 const BatchSink& sink = {}) const override;
-  void run_batch(std::span<const epi::Checkpoint> parents, std::int32_t to_day,
-                 EnsembleBuffer& buffer, std::size_t first, std::size_t count,
-                 std::span<epi::Checkpoint> end_states = {}) const override;
-  void advance_batch(StatePool& states, std::int32_t to_day,
-                     EnsembleBuffer& buffer, std::size_t first,
-                     std::size_t count,
-                     const BatchSink& sink = {}) const override;
-  void resample_states(StatePool& states,
-                       std::span<const std::uint32_t> ancestors,
-                       std::uint64_t seed,
-                       std::span<const std::uint64_t> streams,
-                       std::span<const double> thetas) const override;
   [[nodiscard]] std::string name() const override { return "chain-binomial"; }
 
  private:

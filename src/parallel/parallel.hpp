@@ -77,7 +77,7 @@ void prepare_fork();
 
 /// How many lanes/threads a parallel_for may use under the current
 /// backend. This is also the exclusive upper bound of thread_id(), which
-/// is what sizes the per-thread scratch arrays in core/batch_runner.hpp.
+/// is what sizes the per-thread scratch arrays in core/model_simulator.hpp.
 [[nodiscard]] inline int max_threads() noexcept {
   switch (backend()) {
     case PoolBackend::kSerial:

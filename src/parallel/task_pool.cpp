@@ -370,7 +370,7 @@ void TaskPool::run(std::size_t count, std::size_t grain, RangeFn fn,
   if (external) {
     // Lane 0 is single-occupancy: concurrent external submitters
     // serialize here, which keeps thread_id() unique per in-flight run
-    // (the scratch-workspace contract in core/batch_runner.hpp).
+    // (the scratch-workspace contract in core/model_simulator.hpp).
     root_lock = std::unique_lock<std::mutex>(sync_->root);
     tl_lane = 0;
   }

@@ -25,7 +25,7 @@
 // steals whatever is available, including other runs' descriptors.
 // External (non-lane) submitters serialize on a root mutex so lane 0 is
 // never claimed by two OS threads at once -- which is what keeps the
-// lane-id-indexed scratch workspaces in core/batch_runner.hpp race-free.
+// lane-id-indexed scratch workspaces in core/model_simulator.hpp race-free.
 //
 // Determinism. The pool decides only *where* a chunk executes, never
 // what it computes: bodies receive the index alone, so results are

@@ -182,15 +182,20 @@ TEST(AbmEngineInterop, SimulatorEnforcesItsConfiguredEngine) {
   buf.theta[0] = 0.35;
   buf.seed[0] = 9;
   buf.stream[0] = 1;
-  const std::vector<epi::Checkpoint> parents = {init};
-  std::vector<epi::Checkpoint> ends(1);
-  fast_sim.run_batch(parents, 33, buf, 0, 1, ends);
+  const auto parents = fast_sim.make_pool();
+  parents->append_checkpoint(init);
+  const auto ends = fast_sim.make_pool();
+  ends->resize(1);
+  core::BatchSink sink;
+  sink.capture = ends.get();
+  fast_sim.run_batch(*parents, 33, buf, 0, 1, sink);
   const auto row = buf.true_cases(0);
   ASSERT_EQ(row.size(), from_fast.true_cases.size());
   for (std::size_t d = 0; d < row.size(); ++d) {
     EXPECT_EQ(row[d], from_fast.true_cases[d]) << "day offset " << d;
   }
-  EXPECT_EQ(AgentBasedModel::restore(ends[0]).engine(), AbmEngine::kFast);
+  EXPECT_EQ(AgentBasedModel::restore(ends->to_checkpoint(0)).engine(),
+            AbmEngine::kFast);
 }
 
 // --- Statistical equivalence: fast vs reference across paired seeds. -------

@@ -1,7 +1,9 @@
 // The batched SoA execution engine: golden bit-identity of the batched
 // importance-sampling window against the pre-refactor per-sim path,
-// run_batch == run_window-loop equivalence for all three backends,
-// thread-count invariance of EnsembleBuffer contents, common-random-number
+// run_batch == run_window-loop equivalence for all three backends, the
+// checkpoint-span adapter and the run_window advance bridge against the
+// ModelSimulator kernels, thread-count invariance of EnsembleBuffer
+// contents, common-random-number
 // stream identity across the batch boundary, and the shared window-tail
 // helper's error reporting.
 
@@ -141,12 +143,44 @@ struct BackendCase {
 
 class EnsembleBackend : public ::testing::TestWithParam<BackendCase> {};
 
-TEST_P(EnsembleBackend, BatchMatchesPerSimReference) {
-  const BackendCase bc = GetParam();
+std::unique_ptr<Simulator> make_backend(const BackendCase& bc) {
   api::SimulatorSpec sim_spec;
   sim_spec.params.population = bc.population;
   sim_spec.initial_exposed = bc.population / 200;
-  const auto sim = api::simulators().create(bc.name, sim_spec);
+  return api::simulators().create(bc.name, sim_spec);
+}
+
+/// `n` sims branched from parent slot 0 (or, for in-place advancement, each
+/// from its own slot) with distinct thetas and streams.
+EnsembleBuffer branch_columns(std::size_t n, std::size_t window_len,
+                              bool self_parent) {
+  EnsembleBuffer buf(n, window_len);
+  for (std::size_t s = 0; s < n; ++s) {
+    buf.parent[s] = self_parent ? static_cast<std::uint32_t>(s) : 0;
+    buf.theta[s] = 0.15 + 0.01 * static_cast<double>(s % 20);
+    buf.seed[s] = 7;
+    buf.stream[s] = 1000 + s;
+  }
+  return buf;
+}
+
+void expect_identical_rows(const EnsembleBuffer& a, const EnsembleBuffer& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    const auto ta = a.true_cases(s);
+    const auto tb = b.true_cases(s);
+    ASSERT_TRUE(std::equal(ta.begin(), ta.end(), tb.begin(), tb.end()))
+        << "sim " << s;
+    const auto da = a.deaths(s);
+    const auto db = b.deaths(s);
+    ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
+        << "sim " << s;
+  }
+}
+
+TEST_P(EnsembleBackend, BatchMatchesPerSimReference) {
+  const BackendCase bc = GetParam();
+  const auto sim = make_backend(bc);
 
   ScenarioConfig scenario;
   scenario.params.population = 300000;
@@ -187,39 +221,81 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(EnsembleBackend, BufferContentsThreadCountInvariant) {
   const BackendCase bc = GetParam();
-  api::SimulatorSpec sim_spec;
-  sim_spec.params.population = bc.population;
-  sim_spec.initial_exposed = bc.population / 200;
-  const auto sim = api::simulators().create(bc.name, sim_spec);
-  const std::vector<epi::Checkpoint> parents = {sim->initial_state(19, 7)};
+  const auto sim = make_backend(bc);
+  const auto parents = sim->make_pool();
+  parents->append_checkpoint(sim->initial_state(19, 7));
 
   // Capture the machine's thread budget before set_threads(1) shrinks
   // what max_threads() reports.
   const int hw_threads = epismc::parallel::max_threads();
   const auto propagate = [&](int threads) {
     epismc::parallel::set_threads(threads);
-    EnsembleBuffer buf(bc.n_params, 14);
-    for (std::size_t s = 0; s < buf.size(); ++s) {
-      buf.parent[s] = 0;
-      buf.theta[s] = 0.15 + 0.01 * static_cast<double>(s % 20);
-      buf.seed[s] = 7;
-      buf.stream[s] = 1000 + s;
-    }
-    sim->run_batch(parents, 33, buf, 0, buf.size());
+    EnsembleBuffer buf = branch_columns(bc.n_params, 14, /*self_parent=*/false);
+    sim->run_batch(*parents, 33, buf, 0, buf.size());
     return buf;
   };
   const EnsembleBuffer serial = propagate(1);
   const EnsembleBuffer threaded = propagate(std::max(2, hw_threads));
   epismc::parallel::set_threads(hw_threads);
+  expect_identical_rows(serial, threaded);
+}
 
-  for (std::size_t s = 0; s < serial.size(); ++s) {
-    const auto a = serial.true_cases(s);
-    const auto b = threaded.true_cases(s);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+// The checkpoint-span run_batch is an io-boundary adapter over the pool
+// overload: it must return exactly the rows and end states the backend's
+// own pool kernel produces with a capture sink.
+TEST_P(EnsembleBackend, CheckpointSpanAdapterMatchesPoolPath) {
+  const BackendCase bc = GetParam();
+  const auto sim = make_backend(bc);
+  const epi::Checkpoint init = sim->initial_state(19, 7);
+
+  EnsembleBuffer pooled = branch_columns(bc.n_params, 14, /*self_parent=*/false);
+  const auto parents = sim->make_pool();
+  parents->append_checkpoint(init);
+  const auto capture = sim->make_pool();
+  capture->resize(pooled.size());
+  BatchSink sink;
+  sink.capture = capture.get();
+  sim->run_batch(*parents, 33, pooled, 0, pooled.size(), sink);
+
+  EnsembleBuffer spanned = pooled;
+  std::vector<epi::Checkpoint> ends(spanned.size());
+  sim->run_batch(std::vector<epi::Checkpoint>{init}, 33, spanned, 0,
+                 spanned.size(), ends);
+
+  expect_identical_rows(pooled, spanned);
+  for (std::size_t s = 0; s < ends.size(); ++s) {
+    EXPECT_EQ(ends[s].bytes, capture->to_checkpoint(s).bytes) << "sim " << s;
+  }
+
+  // end_states must be empty or sized to the range.
+  ends.pop_back();
+  EXPECT_THROW(sim->run_batch(std::vector<epi::Checkpoint>{init}, 33, spanned,
+                              0, spanned.size(), ends),
+               std::invalid_argument);
+}
+
+// The base-class advance_batch -- how a simulator that implements only
+// run_window streams -- re-branches every slot through run_window with the
+// buffer's columns and writes the end state back into the slot.
+TEST_P(EnsembleBackend, RunWindowBridgeAdvancesEachSlotThroughRunWindow) {
+  const BackendCase bc = GetParam();
+  const auto sim = make_backend(bc);
+  const PerSimReference bridge(*sim);
+  const epi::Checkpoint init = sim->initial_state(19, 7);
+
+  EnsembleBuffer buf = branch_columns(bc.n_params, 6, /*self_parent=*/true);
+  const auto states = bridge.make_pool();
+  for (std::size_t s = 0; s < buf.size(); ++s) states->append_checkpoint(init);
+  bridge.advance_batch(*states, 25, buf, 0, buf.size());
+
+  for (std::size_t s = 0; s < buf.size(); ++s) {
+    const WindowRun run = sim->run_window(init, buf.theta[s], buf.seed[s],
+                                          buf.stream[s], 25, true);
+    const auto row = buf.true_cases(s);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), run.true_cases.begin(),
+                           run.true_cases.end()))
         << "sim " << s;
-    const auto da = serial.deaths(s);
-    const auto db = threaded.deaths(s);
-    ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
+    EXPECT_EQ(states->to_checkpoint(s).bytes, run.end_state.bytes)
         << "sim " << s;
   }
 }
@@ -271,7 +347,9 @@ TEST(EnsembleCrn, StreamIdentitySurvivesBatching) {
     buf.seed[s] = r.ensemble.seed[0];
     buf.stream[s] = r.ensemble.stream[0];
   }
-  sim.run_batch(parents, 33, buf, 0, 2);
+  const auto pool = sim.make_pool();
+  pool->append_checkpoint(parents[0]);
+  sim.run_batch(*pool, 33, buf, 0, 2);
   const auto row0 = buf.true_cases(0);
   const auto row1 = buf.true_cases(1);
   EXPECT_TRUE(std::equal(row0.begin(), row0.end(), row1.begin(), row1.end()));
@@ -321,25 +399,21 @@ TEST(EnsembleBufferTest, RunBatchValidatesArguments) {
   scenario.params.population = 50000;
   scenario.initial_exposed = 50;
   const SeirSimulator sim({scenario.params, 0.3, scenario.initial_exposed});
-  const std::vector<epi::Checkpoint> parents = {sim.initial_state(19, 7)};
+  const auto parents = sim.make_pool();
+  parents->append_checkpoint(sim.initial_state(19, 7));
 
   EnsembleBuffer buf(2, 3);
   buf.theta[0] = buf.theta[1] = 0.3;
   // Range beyond the buffer.
-  EXPECT_THROW(sim.run_batch(parents, 22, buf, 1, 2), std::out_of_range);
+  EXPECT_THROW(sim.run_batch(*parents, 22, buf, 1, 2), std::out_of_range);
   // Parent column out of bounds, named by sim.
   buf.parent[1] = 9;
   try {
-    sim.run_batch(parents, 22, buf, 0, 2);
+    sim.run_batch(*parents, 22, buf, 0, 2);
     FAIL() << "run_batch accepted an out-of-range parent";
   } catch (const std::out_of_range& e) {
     EXPECT_NE(std::string(e.what()).find("sim 1"), std::string::npos);
   }
-  // end_states size mismatch.
-  buf.parent[1] = 0;
-  std::vector<epi::Checkpoint> states(1);
-  EXPECT_THROW(sim.run_batch(parents, 22, buf, 0, 2, states),
-               std::invalid_argument);
 }
 
 }  // namespace
