@@ -92,9 +92,11 @@ SweepRun read_sweep_run(const std::filesystem::path& path) {
   SweepRun run;
   run.scenario = in.read_string();
   run.simulator = in.read_string();
-  const auto n_windows = in.read<std::uint64_t>();
+  // Wire window: two days plus two seven-double summaries.
+  const std::size_t n_windows =
+      in.read_count(2 * sizeof(std::int32_t) + 14 * sizeof(double));
   run.windows.reserve(n_windows);
-  for (std::uint64_t i = 0; i < n_windows; ++i) {
+  for (std::size_t i = 0; i < n_windows; ++i) {
     core::WindowPosteriorSummary w;
     w.from_day = in.read<std::int32_t>();
     w.to_day = in.read<std::int32_t>();
@@ -102,9 +104,10 @@ SweepRun read_sweep_run(const std::filesystem::path& path) {
     w.rho = read_summary(in);
     run.windows.push_back(w);
   }
-  const auto n_diag = in.read<std::uint64_t>();
+  // Wire diagnostics: eight 8-byte fields plus the inline-capture flag.
+  const std::size_t n_diag = in.read_count(8 * sizeof(double) + 1);
   run.diagnostics.reserve(n_diag);
-  for (std::uint64_t i = 0; i < n_diag; ++i) {
+  for (std::size_t i = 0; i < n_diag; ++i) {
     core::WindowDiagnostics d;
     d.ess = in.read<double>();
     d.perplexity = in.read<double>();

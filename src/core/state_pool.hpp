@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "epi/seir_model.hpp"  // epi::Checkpoint
+#include "parallel/parallel.hpp"
 
 namespace epismc::core {
 
@@ -84,12 +85,23 @@ class StatePool {
     return append_checkpoint(from.to_checkpoint(slot));
   }
 
-  /// Replace the pool's contents with copies of the named ancestor slots:
-  /// slot i becomes a copy of old slot ancestors[i]. Unlike compact(),
-  /// indices may repeat and appear in any order -- this is the streaming
+  /// Replace the pool's contents with copies of the named ancestor slots.
+  /// Invariant: afterwards the pool has ancestors.size() slots and slot i
+  /// holds a copy of old slot ancestors[i]. Unlike compact(), indices may
+  /// repeat, appear in any order and skip slots -- this is the streaming
   /// mid-window resample redistribution, where several particles adopt the
-  /// same ancestor state. The default round-trips through the checkpoint
-  /// io boundary; ModelStatePool copies typed states directly.
+  /// same ancestor state. Every ancestor is validated before any slot is
+  /// touched: an out-of-range or empty ancestor throws std::logic_error and
+  /// leaves the pool (size and every slot) unchanged.
+  ///
+  /// The default round-trips through the checkpoint io boundary.
+  /// ModelStatePool gathers typed states in place: each distinct ancestor's
+  /// model moves (no copy) into the first slot that names it, and every
+  /// duplicate slot is filled by copy-assigning from that placed ancestor
+  /// into the storage of an ancestor nobody picked, so trajectory and
+  /// schedule capacity is recycled. The duplicate copies run in one
+  /// parallel_for; a model is only heap-allocated when the new pool is
+  /// larger than the old one.
   virtual void gather(std::span<const std::uint32_t> ancestors);
 
   /// Rough in-memory footprint of one state, in bytes -- the input to the
@@ -184,13 +196,40 @@ class ModelStatePool final : public StatePool {
   }
 
   void gather(std::span<const std::uint32_t> ancestors) override {
+    // 1. Validate everything first, so a bad ancestor leaves the pool as is.
+    for (const std::uint32_t a : ancestors) {
+      if (a >= slots_.size() || !slots_[a]) throw_empty_slot(a);
+    }
+    // 2. Move each distinct ancestor into the first slot that names it.
+    constexpr std::size_t kUnplaced = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> placed(slots_.size(), kUnplaced);
     std::vector<std::unique_ptr<Model>> next(ancestors.size());
     for (std::size_t i = 0; i < ancestors.size(); ++i) {
-      if (ancestors[i] >= slots_.size() || !slots_[ancestors[i]]) {
-        throw_empty_slot(ancestors[i]);
+      if (placed[ancestors[i]] == kUnplaced) {
+        placed[ancestors[i]] = i;
+        next[i] = std::move(slots_[ancestors[i]]);
       }
-      next[i] = std::make_unique<Model>(*slots_[ancestors[i]]);
     }
+    // Hand the models of unpicked ancestors to the duplicate slots as copy
+    // targets; the remaining duplicates (pool growth) allocate below.
+    std::size_t spare = 0;
+    for (auto& slot : next) {
+      if (slot) continue;
+      while (spare < slots_.size() && !slots_[spare]) ++spare;
+      if (spare == slots_.size()) break;
+      slot = std::move(slots_[spare++]);
+    }
+    // 3. Fill the duplicates from their placed ancestors. Sources are
+    // first-occurrence slots, which no iteration writes.
+    parallel::parallel_for(ancestors.size(), [&](std::size_t i) {
+      const std::size_t src = placed[ancestors[i]];
+      if (src == i) return;
+      if (next[i]) {
+        *next[i] = *next[src];
+      } else {
+        next[i] = std::make_unique<Model>(*next[src]);
+      }
+    });
     slots_ = std::move(next);
   }
 

@@ -172,19 +172,32 @@ class BinaryReader {
     return s;
   }
 
+  /// Read a `Count`-typed element count for a container the caller is
+  /// about to size, each of whose items occupies at least `min_item_bytes`
+  /// (> 0) of the archive. Throws ArchiveError(kTruncated) when count x
+  /// min_item_bytes exceeds remaining(), so a corrupt count fails typed
+  /// before it can drive a reserve/resize into bad_alloc or length_error.
+  /// Every loader that sizes a container from the archive goes through
+  /// this.
+  template <typename Count = std::uint64_t>
+    requires std::is_unsigned_v<Count>
+  std::size_t read_count(std::size_t min_item_bytes) {
+    const auto n = read<Count>();
+    // Divide rather than multiply: the product could wrap.
+    if (n > remaining() / min_item_bytes) {
+      throw ArchiveError(
+          ArchiveErrorKind::kTruncated,
+          "BinaryReader: count " + std::to_string(n) + " (items of at least " +
+              std::to_string(min_item_bytes) + " bytes) exceeds the " +
+              std::to_string(remaining()) + " bytes left in the archive");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
-    const auto n = read<std::uint64_t>();
-    // Reject n before the byte-count multiply can wrap: a corrupt length
-    // field must fail typed, not request a bogus allocation.
-    if (n > remaining() / sizeof(T)) {
-      throw ArchiveError(
-          ArchiveErrorKind::kTruncated,
-          "BinaryReader: vector length " + std::to_string(n) + " (" +
-              std::to_string(sizeof(T)) + "-byte elements) exceeds the " +
-              std::to_string(remaining()) + " bytes left in the archive");
-    }
+    const std::size_t n = read_count(sizeof(T));
     std::vector<T> v(n);
     if (n != 0) {  // an empty vector's data() may be null; memcpy forbids it
       std::memcpy(v.data(), buffer_.data() + cursor_, n * sizeof(T));

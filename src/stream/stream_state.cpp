@@ -89,6 +89,16 @@ std::uint64_t config_fingerprint(const StreamConfig& config) {
 
 namespace {
 
+// Least wire bytes of one item of each counted container, the bound
+// BinaryReader::read_count checks a count against before anything is sized.
+constexpr std::size_t kMinCheckpointBytes =
+    sizeof(std::int32_t) + sizeof(std::uint64_t);  // day + bytes length
+constexpr std::size_t kDiagBytes = 8 * sizeof(double) + 1;  // read_diag
+constexpr std::size_t kMinWindowRecordBytes =
+    2 * sizeof(std::int32_t) + kDiagBytes;  // days + diag, rest variable
+constexpr std::size_t kDayRecordBytes =
+    2 * sizeof(std::int32_t) + 3 * sizeof(double) + 1 + sizeof(std::uint32_t);
+
 void write_checkpoint(io::BinaryWriter& out, const epi::Checkpoint& ckpt) {
   out.write(ckpt.day);
   out.write_vector(ckpt.bytes);
@@ -108,10 +118,10 @@ void write_checkpoints(io::BinaryWriter& out,
 }
 
 std::vector<epi::Checkpoint> read_checkpoints(io::BinaryReader& in) {
-  const auto n = in.read<std::uint64_t>();
+  const std::size_t n = in.read_count(kMinCheckpointBytes);
   std::vector<epi::Checkpoint> v;
   v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_checkpoint(in));
+  for (std::size_t i = 0; i < n; ++i) v.push_back(read_checkpoint(in));
   return v;
 }
 
@@ -298,14 +308,14 @@ StreamState StreamState::deserialize(io::BinaryReader& in) {
   st.window_open = in.read<std::uint8_t>() != 0;
   st.days_since_checkpoint = in.read<std::uint64_t>();
 
-  const auto n_windows = in.read<std::uint64_t>();
+  const std::size_t n_windows = in.read_count(kMinWindowRecordBytes);
   st.history.reserve(n_windows);
-  for (std::uint64_t i = 0; i < n_windows; ++i) {
+  for (std::size_t i = 0; i < n_windows; ++i) {
     st.history.push_back(read_window_record(in));
   }
-  const auto n_days = in.read<std::uint64_t>();
+  const std::size_t n_days = in.read_count(kDayRecordBytes);
   st.days.reserve(n_days);
-  for (std::uint64_t i = 0; i < n_days; ++i) {
+  for (std::size_t i = 0; i < n_days; ++i) {
     st.days.push_back(read_day_record(in));
   }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "abm/abm_simulator.hpp"
@@ -150,6 +151,41 @@ TEST(AbmModel, RejectsCompartmentalCheckpoints) {
   compartmental.run_until_day(10);
   EXPECT_THROW((void)AgentBasedModel::restore(compartmental.make_checkpoint()),
                io::ArchiveError);
+}
+
+TEST(AbmModel, HugeRingLengthFailsTyped) {
+  // The event-calendar ring length is a u32 the loader sizes a vector
+  // from; patched to 0xFFFFFFFF it must fail as a typed truncation before
+  // any allocation, not as bad_alloc or length_error.
+  AgentBasedModel m = seeded(23);
+  m.run_until_day(10);
+  epi::Checkpoint ckpt = m.make_checkpoint();
+
+  // Walk the restore layout up to the ring length field.
+  io::BinaryReader in{ckpt.bytes};
+  (void)epi::DiseaseParameters::deserialize(in);
+  (void)in.read<double>();         // mean_household_size
+  (void)in.read<double>();         // household_share
+  (void)in.read<std::uint64_t>();  // network_seed
+  (void)in.read<std::uint8_t>();   // engine tag
+  (void)epi::PiecewiseSchedule::deserialize(in);
+  (void)in.read<std::int32_t>();   // day
+  (void)in.read<epi::Census>();
+  (void)in.read_vector<std::uint8_t>();   // state
+  (void)in.read_vector<std::uint8_t>();   // next_state
+  (void)in.read_vector<std::int32_t>();   // next_day
+  (void)in.read_vector<std::uint32_t>();  // hot_households
+  const std::size_t ring_at = ckpt.bytes.size() - in.remaining();
+  ASSERT_GT(in.read<std::uint32_t>(), 0u);
+
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(ckpt.bytes.data() + ring_at, &huge, sizeof huge);
+  try {
+    (void)AgentBasedModel::restore(ckpt);
+    FAIL() << "huge ring length was accepted";
+  } catch (const io::ArchiveError& e) {
+    EXPECT_EQ(e.kind(), io::ArchiveErrorKind::kTruncated) << e.what();
+  }
 }
 
 TEST(AbmModel, SeedValidation) {

@@ -3,15 +3,17 @@
 // the pre-refactor two-pass path for all three backends; inline-capture ==
 // deferred-replay equivalence (including through the sequential
 // calibrator and the posterior forecast); pool mechanics (io-boundary
-// round trips, compaction, backend mismatch diagnostics); and the
-// CapturePolicy::kAuto budget decision.
+// round trips, compaction, ancestor gather, backend mismatch diagnostics);
+// and the CapturePolicy::kAuto budget decision.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "abm/agent_model.hpp"
 #include "api/api.hpp"
 #include "core/importance_sampler.hpp"
 #include "core/posterior.hpp"
@@ -253,6 +255,87 @@ TEST(StatePoolTest, CompactKeepsNamedSlotsInOrder) {
   EXPECT_EQ(pool->day(2), 9);
   EXPECT_THROW(pool->compact(std::vector<std::uint32_t>{7}),
                std::out_of_range);
+}
+
+// gather() contract on one typed pool: slot i ends up byte-equal to old
+// slot ancestors[i] whether ancestors repeat, arrive out of order or drop
+// slots, and whether the pool shrinks, keeps its size or grows; existing
+// model storage is recycled rather than reallocated; a bad ancestor throws
+// before any slot is touched.
+template <typename Model>
+void check_gather(const char* backend, const api::SimulatorSpec& spec) {
+  SCOPED_TRACE(backend);
+  const auto sim = api::simulators().create(backend, spec);
+  const auto erased = sim->make_pool();
+  auto* pool = dynamic_cast<ModelStatePool<Model>*>(erased.get());
+  ASSERT_NE(pool, nullptr);
+
+  struct Case {
+    const char* shape;
+    std::vector<std::uint32_t> ancestors;
+  };
+  const std::vector<Case> cases = {
+      {"smaller", {3, 3, 0}},
+      {"equal", {4, 2, 2, 2, 0}},
+      {"larger", {1, 4, 1, 1, 3, 1, 0, 4}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.shape);
+    pool->clear();
+    std::vector<epi::Checkpoint> old;
+    for (std::uint64_t k = 0; k < 5; ++k) {
+      pool->append_checkpoint(
+          sim->initial_state(10 + static_cast<std::int32_t>(k), 7 + k));
+      old.push_back(pool->to_checkpoint(k));
+    }
+    std::set<const Model*> old_models;
+    for (std::size_t k = 0; k < 5; ++k) old_models.insert(&pool->at(k));
+
+    pool->gather(c.ancestors);
+    ASSERT_EQ(pool->size(), c.ancestors.size());
+    std::set<const Model*> new_models;
+    for (std::size_t i = 0; i < c.ancestors.size(); ++i) {
+      const epi::Checkpoint got = pool->to_checkpoint(i);
+      EXPECT_EQ(got.day, old[c.ancestors[i]].day) << "slot " << i;
+      EXPECT_EQ(got.bytes, old[c.ancestors[i]].bytes) << "slot " << i;
+      new_models.insert(&pool->at(i));
+    }
+    // Every slot owns its own model, and every old model that can be
+    // reused is: only growth past the old size allocates.
+    EXPECT_EQ(new_models.size(), c.ancestors.size());
+    std::size_t reused = 0;
+    for (const Model* m : new_models) reused += old_models.count(m);
+    EXPECT_EQ(reused, std::min<std::size_t>(c.ancestors.size(), 5));
+  }
+
+  // Out-of-range and empty ancestors throw and leave the pool unchanged.
+  pool->clear();
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    pool->append_checkpoint(sim->initial_state(10, 7 + k));
+  }
+  pool->resize(6);  // slot 5 stays empty
+  std::vector<epi::Checkpoint> before;
+  for (std::size_t k = 0; k < 5; ++k) before.push_back(pool->to_checkpoint(k));
+  for (const std::vector<std::uint32_t>& bad :
+       {std::vector<std::uint32_t>{0, 1, 9}, std::vector<std::uint32_t>{2, 5}}) {
+    EXPECT_THROW(pool->gather(bad), std::logic_error);
+    ASSERT_EQ(pool->size(), 6u);
+    for (std::size_t k = 0; k < 5; ++k) {
+      EXPECT_EQ(pool->to_checkpoint(k).bytes, before[k].bytes) << "slot " << k;
+    }
+    EXPECT_THROW((void)pool->day(5), std::logic_error);
+  }
+}
+
+TEST(StatePoolTest, GatherCopiesAncestorsInPlace) {
+  api::SimulatorSpec spec;
+  spec.params.population = 50000;
+  spec.initial_exposed = 100;
+  check_gather<epi::SeirModel>("seir-event", spec);
+  check_gather<epi::ChainBinomialModel>("chain-binomial", spec);
+  spec.params.population = 4000;
+  spec.initial_exposed = 20;
+  check_gather<epismc::abm::AgentBasedModel>("abm", spec);
 }
 
 TEST(StatePoolTest, EmptySlotAndBackendMismatchAreDiagnosed) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <numeric>
 
@@ -192,6 +193,28 @@ TEST(Checkpoint, CorruptBytesRejected) {
   Checkpoint ckpt = m.make_checkpoint();
   ckpt.bytes.resize(ckpt.bytes.size() / 2);
   EXPECT_THROW((void)SeirModel::restore(ckpt), epismc::io::ArchiveError);
+}
+
+TEST(Checkpoint, HugeTrajectoryCountFailsTyped) {
+  // A corrupt record count must fail as a typed truncation before the
+  // loader reserves for it, not as bad_alloc or length_error.
+  SeirModel m = seeded_model(39);
+  m.run_until_day(10);
+  Checkpoint ckpt = m.make_checkpoint();
+  // The trajectory closes the checkpoint: a u64 count, then one 60-byte
+  // record (day + seven i64 fields) per day.
+  const std::size_t count_at = ckpt.bytes.size() - 8 - m.trajectory().size() * 60;
+  std::uint64_t count = 0;
+  std::memcpy(&count, ckpt.bytes.data() + count_at, sizeof count);
+  ASSERT_EQ(count, m.trajectory().size());
+  count = std::uint64_t{1} << 62;
+  std::memcpy(ckpt.bytes.data() + count_at, &count, sizeof count);
+  try {
+    (void)SeirModel::restore(ckpt);
+    FAIL() << "huge trajectory count was accepted";
+  } catch (const epismc::io::ArchiveError& e) {
+    EXPECT_EQ(e.kind(), epismc::io::ArchiveErrorKind::kTruncated) << e.what();
+  }
 }
 
 TEST(Checkpoint, ConservationAfterRestore) {

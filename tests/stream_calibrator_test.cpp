@@ -218,6 +218,72 @@ TEST(StreamingCalibrator, MidWindowResampleIsDeterministic) {
   }
 }
 
+// FNV-1a over raw bytes, the hash every golden test in the suite uses.
+constexpr std::uint64_t kFnvSeed = 1469598103934665603ull;
+
+std::uint64_t fnv(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+// Pins the mid-window resample path (ancestor redistribution of the live
+// cloud plus re-branching) across commits, not just across two runs of one
+// binary. The hashes were captured before the in-place pool gather landed;
+// any change to how ancestors are copied must leave them untouched.
+TEST(StreamingCalibrator, MidWindowResampleGolden) {
+  const epismc::simd::ScopedLevel simd_pin(epismc::simd::SimdLevel::kScalar);
+  struct Golden {
+    const char* simulator;
+    std::uint64_t cloud_hash;    // snapshot() cloud at day 40, mid window 2
+    std::uint64_t weights_hash;  // final window's weights
+    std::uint64_t days_hash;     // every day record, wall time excluded
+  };
+  for (const Golden& g :
+       {Golden{"seir-event", 0x96b767c47aa70167ull, 0x0bd5d01ae6dfdf2dull,
+               0x6a7bd663dbfbd779ull},
+        Golden{"chain-binomial", 0xf2455979480009e6ull, 0x8b234bd7a41c3294ull,
+               0x8a9591aa5d222ae0ull}}) {
+    SCOPED_TRACE(g.simulator);
+    CalibrationConfig cfg = small_config();
+    cfg.inference = InferenceStrategy::kTempered;
+    cfg.ess_threshold = 0.9;
+
+    auto session = make_session(cfg, g.simulator);
+    StreamingCalibrator cal = session.stream();
+    feed_days(cal, 20, 40);
+    const StreamState snap = cal.snapshot();
+    ASSERT_TRUE(snap.window_open);
+    ASSERT_GE(snap.midwindow_resamples, 1u)
+        << "threshold did not force a resample inside window 2";
+    std::uint64_t cloud_hash = kFnvSeed;
+    for (const epi::Checkpoint& c : snap.cloud) {
+      cloud_hash = fnv(cloud_hash, &c.day, sizeof(c.day));
+      cloud_hash = fnv(cloud_hash, c.bytes.data(), c.bytes.size());
+    }
+
+    feed_days(cal, 41, 47);
+    ASSERT_TRUE(cal.finished());
+    const std::vector<double>& w = cal.results().back().weights;
+    const std::uint64_t weights_hash =
+        fnv(kFnvSeed, w.data(), w.size() * sizeof(double));
+    std::uint64_t days_hash = kFnvSeed;
+    for (const StreamDayRecord& d : cal.day_records()) {
+      const std::uint8_t resampled = d.resampled ? 1 : 0;
+      days_hash = fnv(days_hash, &d.day, sizeof(d.day));
+      days_hash = fnv(days_hash, &d.window, sizeof(d.window));
+      days_hash = fnv(days_hash, &d.ess, sizeof(d.ess));
+      days_hash = fnv(days_hash, &resampled, sizeof(resampled));
+      days_hash = fnv(days_hash, &d.log_marginal, sizeof(d.log_marginal));
+      days_hash = fnv(days_hash, &d.demoted, sizeof(d.demoted));
+    }
+
+    EXPECT_EQ(cloud_hash, g.cloud_hash) << std::hex << cloud_hash;
+    EXPECT_EQ(weights_hash, g.weights_hash) << std::hex << weights_hash;
+    EXPECT_EQ(days_hash, g.days_hash) << std::hex << days_hash;
+  }
+}
+
 TEST(StreamingCalibrator, MidWindowResampleMomentEquivalence) {
   // Paired-seed bound: with mid-window resampling the stream is a
   // different (adaptive) estimator of the same posterior, so per-seed
