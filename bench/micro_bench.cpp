@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "abm/agent_model.hpp"
 #include "api/components.hpp"
@@ -82,6 +83,25 @@ void BM_GammaMarsagliaTsang(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GammaMarsagliaTsang);
+
+void BM_DelaySplit(benchmark::State& state) {
+  // One sojourn split of the paper-baseline latent table into a day ring:
+  // the per-cohort kernel of the SEIR simulator. Cohort 8 samples each
+  // individual, 100 runs BINV draws, 10^4 starts in BTPE.
+  const epi::DiseaseParameters params;
+  const epi::DelayDistribution latent(params.latent_period,
+                                      params.erlang_shape, params.max_delay);
+  const auto cohort = state.range(0);
+  std::vector<std::int64_t> ring(static_cast<std::size_t>(latent.max_delay()));
+  rng::Engine eng(8);
+  for (auto _ : state) {
+    latent.split(eng, cohort,
+                 [&](std::size_t d, std::int64_t n) { ring[d] += n; });
+    benchmark::DoNotOptimize(ring.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DelaySplit)->Arg(8)->Arg(100)->Arg(10000);
 
 void BM_SimulatorDayStep(benchmark::State& state) {
   // One day of the event-driven model mid-epidemic.

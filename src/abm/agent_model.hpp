@@ -142,7 +142,6 @@ class AgentBasedModel {
   AgentBasedModel() = default;
 
   void build_households();
-  void acquire_delay_tables();
   /// Restore-time: index the archived susceptible list and hot set, and
   /// rebuild the household pressure classes from the state arrays.
   void rebuild_population_index();

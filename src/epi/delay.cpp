@@ -46,21 +46,7 @@ DelayDistribution::DelayDistribution(double mean_days, int erlang_shape,
   cdf_.resize(pmf_.size());
   std::partial_sum(pmf_.begin(), pmf_.end(), cdf_.begin());
   cdf_.back() = 1.0;
-}
-
-std::vector<std::int64_t> DelayDistribution::split(rng::Engine& eng,
-                                                   std::int64_t count) const {
-  if (pmf_.empty()) throw std::logic_error("DelayDistribution: not built");
-  if (count <= 16) {
-    // Per-individual sampling beats a full multinomial sweep for the small
-    // cohorts that dominate late-pipeline compartments (ICU, deaths).
-    std::vector<std::int64_t> out(pmf_.size(), 0);
-    for (std::int64_t i = 0; i < count; ++i) {
-      out[static_cast<std::size_t>(sample_one(eng) - 1)] += 1;
-    }
-    return out;
-  }
-  return rng::multinomial(eng, count, pmf_);
+  plan_ = rng::MultinomialPlan(pmf_);
 }
 
 int DelayDistribution::sample_one(rng::Engine& eng) const {
@@ -78,6 +64,59 @@ double DelayDistribution::mean() const noexcept {
     m += static_cast<double>(i + 1) * pmf_[i];
   }
   return m;
+}
+
+namespace {
+
+/// Cache key over the fields the delay tables depend on.
+struct DelayKey {
+  double durations[9];
+  int shape;
+  int max_delay;
+
+  friend bool operator==(const DelayKey& a, const DelayKey& b) {
+    for (int i = 0; i < 9; ++i) {
+      if (a.durations[i] != b.durations[i]) return false;
+    }
+    return a.shape == b.shape && a.max_delay == b.max_delay;
+  }
+};
+
+DelayKey make_delay_key(const DiseaseParameters& p) {
+  return DelayKey{{p.latent_period, p.presymptomatic_period,
+                   p.asymptomatic_period, p.mild_period, p.severe_period,
+                   p.hospital_period, p.hospital_to_icu, p.icu_period,
+                   p.post_icu_period},
+                  p.erlang_shape,
+                  p.max_delay};
+}
+
+}  // namespace
+
+std::shared_ptr<const DelayTables> shared_delay_tables(
+    const DiseaseParameters& params) {
+  // One-entry thread-local cache: particle loops restore thousands of
+  // models with identical durations, so the hit rate is ~100%.
+  thread_local DelayKey cached_key{};
+  thread_local std::shared_ptr<const DelayTables> cached_tables;
+
+  const DelayKey key = make_delay_key(params);
+  if (cached_tables && cached_key == key) return cached_tables;
+  const int k = params.erlang_shape;
+  const int md = params.max_delay;
+  auto tables = std::make_shared<DelayTables>();
+  tables->latent = DelayDistribution(params.latent_period, k, md);
+  tables->presym = DelayDistribution(params.presymptomatic_period, k, md);
+  tables->asym = DelayDistribution(params.asymptomatic_period, k, md);
+  tables->mild = DelayDistribution(params.mild_period, k, md);
+  tables->severe = DelayDistribution(params.severe_period, k, md);
+  tables->hosp = DelayDistribution(params.hospital_period, k, md);
+  tables->hosp_icu = DelayDistribution(params.hospital_to_icu, k, md);
+  tables->icu = DelayDistribution(params.icu_period, k, md);
+  tables->posticu = DelayDistribution(params.post_icu_period, k, md);
+  cached_key = key;
+  cached_tables = tables;
+  return tables;
 }
 
 }  // namespace epismc::epi

@@ -41,63 +41,8 @@ SeirModel::SeirModel(DiseaseParameters params, PiecewiseSchedule transmission,
       eng_(seed, stream) {
   params_.validate();
   counts_[index(Compartment::kS)] = params_.population;
-  acquire_delay_tables();
+  delays_ = shared_delay_tables(params_);
   init_event_ring();
-}
-
-namespace {
-
-/// Cache key over the fields the delay tables depend on.
-struct DelayKey {
-  double durations[9];
-  int shape;
-  int max_delay;
-
-  friend bool operator==(const DelayKey& a, const DelayKey& b) {
-    for (int i = 0; i < 9; ++i) {
-      if (a.durations[i] != b.durations[i]) return false;
-    }
-    return a.shape == b.shape && a.max_delay == b.max_delay;
-  }
-};
-
-DelayKey make_delay_key(const DiseaseParameters& p) {
-  return DelayKey{{p.latent_period, p.presymptomatic_period,
-                   p.asymptomatic_period, p.mild_period, p.severe_period,
-                   p.hospital_period, p.hospital_to_icu, p.icu_period,
-                   p.post_icu_period},
-                  p.erlang_shape,
-                  p.max_delay};
-}
-
-}  // namespace
-
-void SeirModel::acquire_delay_tables() {
-  // One-entry thread-local cache: particle loops restore thousands of
-  // models with identical durations, so the hit rate is ~100%.
-  thread_local DelayKey cached_key{};
-  thread_local std::shared_ptr<const DelayTables> cached_tables;
-
-  const DelayKey key = make_delay_key(params_);
-  if (cached_tables && cached_key == key) {
-    delays_ = cached_tables;
-    return;
-  }
-  const int k = params_.erlang_shape;
-  const int md = params_.max_delay;
-  auto tables = std::make_shared<DelayTables>();
-  tables->latent = DelayDistribution(params_.latent_period, k, md);
-  tables->presym = DelayDistribution(params_.presymptomatic_period, k, md);
-  tables->asym = DelayDistribution(params_.asymptomatic_period, k, md);
-  tables->mild = DelayDistribution(params_.mild_period, k, md);
-  tables->severe = DelayDistribution(params_.severe_period, k, md);
-  tables->hosp = DelayDistribution(params_.hospital_period, k, md);
-  tables->hosp_icu = DelayDistribution(params_.hospital_to_icu, k, md);
-  tables->icu = DelayDistribution(params_.icu_period, k, md);
-  tables->posticu = DelayDistribution(params_.post_icu_period, k, md);
-  cached_key = key;
-  cached_tables = tables;
-  delays_ = std::move(tables);
 }
 
 void SeirModel::init_event_ring() {
@@ -127,10 +72,18 @@ void SeirModel::schedule_split(const DelayDistribution& delay,
                                Compartment from, Compartment to,
                                std::int64_t count) {
   if (count <= 0) return;
-  const auto buckets = delay.split(eng_, count);
-  for (std::size_t d = 0; d < buckets.size(); ++d) {
-    schedule(day_ + static_cast<std::int32_t>(d) + 1, from, to, buckets[d]);
-  }
+  const int edge = edge_index(from, to);
+  assert(edge >= 0 && "scheduled transition not in the topology");
+  const auto e = static_cast<std::size_t>(edge);
+  const std::size_t today = ring_slot(day_);
+  // Bucket d is due on day_ + d + 1, always inside the ring horizon, so
+  // one wrap-around subtraction replaces the modulo of ring_slot().
+  delay.split(eng_, count, [&](std::size_t d, std::int64_t n) {
+    assert(d + 1 < ring_.size() && "event beyond the ring horizon");
+    std::size_t slot = today + d + 1;
+    if (slot >= ring_.size()) slot -= ring_.size();
+    ring_[slot][e] += n;
+  });
 }
 
 void SeirModel::enter(Compartment c, std::int64_t n) {
@@ -393,20 +346,44 @@ SeirModel SeirModel::restore(const Checkpoint& ckpt,
   m.transmission_ = PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<Census>();
+  std::int64_t census_total = 0;
+  for (const std::int64_t c : m.counts_) {
+    // Bounded by population, so the running sum cannot overflow.
+    if (c < 0 || c > m.params_.population) {
+      throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                             "SeirModel::restore: census entry out of range");
+    }
+    census_total += c;
+  }
+  if (census_total != m.params_.population) {
+    throw io::ArchiveError(
+        io::ArchiveErrorKind::kCorrupt,
+        "SeirModel::restore: census does not sum to population");
+  }
 
   m.init_event_ring();
   const auto n_events = in.read<std::uint64_t>();
   for (std::uint64_t i = 0; i < n_events; ++i) {
     const auto day = in.read<std::int32_t>();
-    const auto from = static_cast<Compartment>(in.read<std::uint8_t>());
-    const auto to = static_cast<Compartment>(in.read<std::uint8_t>());
+    const auto from_byte = in.read<std::uint8_t>();
+    const auto to_byte = in.read<std::uint8_t>();
     const auto count = in.read<std::int64_t>();
     if (day <= m.day_ ||
-        static_cast<std::size_t>(day - m.day_) >= m.ring_.size()) {
+        static_cast<std::size_t>(std::int64_t{day} - m.day_) >=
+            m.ring_.size()) {
       throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
                              "SeirModel::restore: event outside ring horizon");
     }
-    const int edge = edge_index(from, to);
+    if (from_byte >= kCompartmentCount || to_byte >= kCompartmentCount) {
+      throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                             "SeirModel::restore: unknown compartment");
+    }
+    if (count <= 0) {
+      throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
+                             "SeirModel::restore: non-positive event count");
+    }
+    const int edge = edge_index(static_cast<Compartment>(from_byte),
+                                static_cast<Compartment>(to_byte));
     if (edge < 0) {
       throw io::ArchiveError(io::ArchiveErrorKind::kCorrupt,
                              "SeirModel::restore: unknown transition edge");
@@ -442,7 +419,7 @@ SeirModel SeirModel::restore(const Checkpoint& ckpt,
     m.transmission_.override_from(m.day_ + 1, *ovr.transmission_rate);
   }
   m.params_.validate();
-  m.acquire_delay_tables();
+  m.delays_ = shared_delay_tables(m.params_);
   return m;
 }
 

@@ -194,12 +194,16 @@ std::int64_t poisson(Engine& eng, double mean) {
 namespace {
 
 /// BINV: sequential-search inversion. Requires n*p modest so that q^n does
-/// not underflow; the dispatcher guarantees n*p < 30 here.
-std::int64_t binomial_inversion(Engine& eng, std::int64_t n, double p) {
+/// not underflow; the dispatcher guarantees n*p < 30 here. `pow_q`, when
+/// set, holds q^k for k < kPowN and saves the std::pow for small n.
+std::int64_t binomial_inversion(Engine& eng, std::int64_t n, double p,
+                                const double* pow_q) {
   const double q = 1.0 - p;
   const double s = p / q;
+  const double r0 = pow_q != nullptr && n < MultinomialPlan::kPowN
+                        ? pow_q[n]
+                        : std::pow(q, static_cast<double>(n));
   const double npq_a = static_cast<double>(n + 1) * s;
-  const double r0 = std::pow(q, static_cast<double>(n));
   for (;;) {
     double u = uniform_double(eng);
     double r = r0;
@@ -322,6 +326,16 @@ std::int64_t binomial_btpe(Engine& eng, std::int64_t n, double p) {
   }
 }
 
+/// The sampler behind binomial() and MultinomialPlan: Binomial(n, pp) for
+/// n > 0 and 0 < pp <= 0.5 (pow_q as for binomial_inversion).
+std::int64_t binomial_core(Engine& eng, std::int64_t n, double pp,
+                           const double* pow_q) {
+  if (static_cast<double>(n) * pp < 30.0) {
+    return binomial_inversion(eng, n, pp, pow_q);
+  }
+  return binomial_btpe(eng, n, pp);
+}
+
 }  // namespace
 
 std::int64_t binomial(Engine& eng, std::int64_t n, double p) {
@@ -334,12 +348,7 @@ std::int64_t binomial(Engine& eng, std::int64_t n, double p) {
 
   const bool flipped = p > 0.5;
   const double pp = flipped ? 1.0 - p : p;
-  std::int64_t x = 0;
-  if (static_cast<double>(n) * pp < 30.0) {
-    x = binomial_inversion(eng, n, pp);
-  } else {
-    x = binomial_btpe(eng, n, pp);
-  }
+  const std::int64_t x = binomial_core(eng, n, pp, nullptr);
   return flipped ? n - x : x;
 }
 
@@ -347,41 +356,47 @@ std::int64_t binomial(Engine& eng, std::int64_t n, double p) {
 // Multinomial.
 // ---------------------------------------------------------------------------
 
-void multinomial(Engine& eng, std::int64_t n, std::span<const double> probs,
-                 std::span<std::int64_t> out) {
-  if (probs.size() != out.size()) {
-    throw std::invalid_argument("multinomial: probs/out size mismatch");
-  }
+MultinomialPlan::MultinomialPlan(std::span<const double> probs)
+    : size_(probs.size()) {
   double total = 0.0;
   for (const double p : probs) {
-    if (p < 0.0) throw std::invalid_argument("multinomial: negative probability");
+    if (!(p >= 0.0)) {
+      throw std::invalid_argument("MultinomialPlan: negative probability");
+    }
     total += p;
   }
-  std::fill(out.begin(), out.end(), std::int64_t{0});
-  if (probs.empty() || n <= 0) return;
-  if (total <= 0.0) {
-    throw std::invalid_argument("multinomial: probabilities sum to zero");
+  if (!(total > 0.0) || !std::isfinite(total)) {
+    throw std::invalid_argument(
+        "MultinomialPlan: probabilities must have a finite, positive sum");
   }
-
-  std::int64_t remaining = n;
+  // The conditional-binomial sweep: bucket i draws from what buckets < i
+  // left, until the remaining mass is exhausted; the last bucket takes the
+  // rest. Same operations, same order as a per-call sweep would run.
   double mass = total;
-  for (std::size_t i = 0; i + 1 < probs.size() && remaining > 0; ++i) {
+  for (std::size_t i = 0; i + 1 < probs.size(); ++i) {
     const double cond = std::clamp(probs[i] / mass, 0.0, 1.0);
-    const std::int64_t draw = binomial(eng, remaining, cond);
-    out[i] = draw;
-    remaining -= draw;
+    const bool flipped = cond > 0.5;
+    buckets_.push_back(Bucket{flipped ? 1.0 - cond : cond, flipped});
     mass -= probs[i];
     if (mass <= 0.0) break;
   }
-  out[probs.size() - 1] += remaining;
-  if (out[probs.size() - 1] < 0) out[probs.size() - 1] = 0;
+  constexpr auto kRow = static_cast<std::size_t>(kPowN);
+  pow_q_.resize(buckets_.size() * kRow);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    for (std::size_t k = 0; k < kRow; ++k) {
+      pow_q_[i * kRow + k] =
+          std::pow(1.0 - buckets_[i].pp, static_cast<double>(k));
+    }
+  }
 }
 
-std::vector<std::int64_t> multinomial(Engine& eng, std::int64_t n,
-                                      std::span<const double> probs) {
-  std::vector<std::int64_t> out(probs.size(), 0);
-  multinomial(eng, n, probs, out);
-  return out;
+std::int64_t MultinomialPlan::draw_bucket(Engine& eng, std::size_t i,
+                                          std::int64_t n) const {
+  const Bucket& b = buckets_[i];
+  if (b.pp == 0.0) return b.flipped ? n : 0;  // c == 1 or c == 0: no draw
+  const double* pow_q = pow_q_.data() + i * static_cast<std::size_t>(kPowN);
+  const std::int64_t x = binomial_core(eng, n, b.pp, pow_q);
+  return b.flipped ? n - x : x;
 }
 
 }  // namespace epismc::rng

@@ -88,16 +88,61 @@ using Engine = PhiloxEngine;
 /// Binomial(n, p) draw; BINV inversion when n*min(p,1-p) < 30, BTPE
 /// (Kachitvichyanukul & Schmeiser 1988) otherwise. O(1) in n for the
 /// large regime, which matters: the epidemic simulator thins populations
-/// of millions every step.
+/// of millions every step. MultinomialPlan draws through the same sampler.
 [[nodiscard]] std::int64_t binomial(Engine& eng, std::int64_t n, double p);
 
-/// Multinomial draw by conditional binomials: partitions `n` across
-/// `probs` (probs need not be normalized; they must be non-negative).
-void multinomial(Engine& eng, std::int64_t n, std::span<const double> probs,
-                 std::span<std::int64_t> out);
+/// Multinomial split over a fixed probability vector by conditional
+/// binomials, with everything that depends only on the probabilities built
+/// once: the conditional probability of each bucket (sequential total,
+/// clamp(p[i] / mass), mass -= p[i]), the bucket after which the remaining
+/// mass reaches zero, and, per drawn bucket, the table q^k (k < kPowN) that
+/// BINV otherwise recomputes with std::pow on every call. A draw consumes
+/// the same uniforms and returns the same counts as conditional binomial()
+/// calls over the raw probabilities would.
+class MultinomialPlan {
+ public:
+  /// Cohorts below kPowN start BINV from the table instead of std::pow.
+  static constexpr std::int64_t kPowN = 64;
 
-/// Convenience overload returning a fresh vector.
-[[nodiscard]] std::vector<std::int64_t> multinomial(
-    Engine& eng, std::int64_t n, std::span<const double> probs);
+  MultinomialPlan() = default;
+
+  /// `probs` need not be normalized; they must be finite, non-negative and
+  /// not all zero (std::invalid_argument otherwise).
+  explicit MultinomialPlan(std::span<const double> probs);
+
+  /// Number of buckets.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Partition `n` individuals across the buckets: calls emit(i, count) for
+  /// every bucket i that receives count > 0, in increasing i. n <= 0 draws
+  /// nothing.
+  template <class Emit>
+  void draw(Engine& eng, std::int64_t n, Emit&& emit) const {
+    std::int64_t remaining = n;
+    for (std::size_t i = 0; i < buckets_.size() && remaining > 0; ++i) {
+      const std::int64_t x = draw_bucket(eng, i, remaining);
+      if (x > 0) {
+        emit(i, x);
+        remaining -= x;
+      }
+    }
+    if (remaining > 0) emit(size_ - 1, remaining);
+  }
+
+ private:
+  /// Conditional binomial draw for bucket i given `n` still unassigned.
+  [[nodiscard]] std::int64_t draw_bucket(Engine& eng, std::size_t i,
+                                         std::int64_t n) const;
+
+  /// Conditional probability c of a bucket, as binomial() splits it.
+  struct Bucket {
+    double pp = 0.0;       // min(c, 1 - c): the probability BINV/BTPE draw
+    bool flipped = false;  // c > 0.5: the draw counts the complement
+  };
+
+  std::size_t size_ = 0;
+  std::vector<Bucket> buckets_;  // drawn buckets; the last one takes the rest
+  std::vector<double> pow_q_;    // pow_q_[i * kPowN + k] = (1 - pp_i)^k
+};
 
 }  // namespace epismc::rng

@@ -217,6 +217,70 @@ TEST(Checkpoint, HugeTrajectoryCountFailsTyped) {
   }
 }
 
+TEST(Checkpoint, CorruptEventFailsTyped) {
+  // A corrupt event must fail as a typed corruption before its compartment
+  // bytes index the edge table, and a corrupt census before it is used.
+  SeirModel m = seeded_model(43);
+  m.run_until_day(10);
+  ASSERT_GT(m.pending_events(), 0u);
+  const Checkpoint good = m.make_checkpoint();
+  // The checkpoint closes with the last event (i32 day, u8 from, u8 to,
+  // i64 count), the RNG triple (3 x u64) and the trajectory (a u64 count,
+  // then one 60-byte record per day).
+  const std::size_t event_at =
+      good.bytes.size() - (8 + m.trajectory().size() * 60) - 24 - 14;
+  const auto expect_corrupt = [](const Checkpoint& ckpt, const char* what) {
+    try {
+      (void)SeirModel::restore(ckpt);
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const epismc::io::ArchiveError& e) {
+      EXPECT_EQ(e.kind(), epismc::io::ArchiveErrorKind::kCorrupt) << e.what();
+    }
+  };
+  {
+    Checkpoint bad = good;
+    std::uint8_t from = 0;
+    std::memcpy(&from, bad.bytes.data() + event_at + 4, sizeof from);
+    ASSERT_LT(from, kCompartmentCount);
+    from = 0xFF;
+    std::memcpy(bad.bytes.data() + event_at + 4, &from, sizeof from);
+    expect_corrupt(bad, "out-of-range compartment");
+  }
+  {
+    Checkpoint bad = good;
+    std::int64_t count = 0;
+    std::memcpy(&count, bad.bytes.data() + event_at + 6, sizeof count);
+    ASSERT_GT(count, 0);
+    count = -1;
+    std::memcpy(bad.bytes.data() + event_at + 6, &count, sizeof count);
+    expect_corrupt(bad, "negative event count");
+  }
+  // The census (one i64 per compartment) sits just before the u64 event
+  // count and the events.
+  const std::size_t census_at =
+      event_at + 14 - m.pending_events() * 14 - 8 - sizeof(Census);
+  Census census{};
+  std::memcpy(census.data(), good.bytes.data() + census_at, sizeof census);
+  ASSERT_EQ(census, m.census());
+  {
+    Checkpoint bad = good;
+    Census shifted = census;  // same total, one entry negative
+    shifted[index(Compartment::kS)] += shifted[index(Compartment::kDd)] + 1;
+    shifted[index(Compartment::kDd)] = -1;
+    std::memcpy(bad.bytes.data() + census_at, shifted.data(), sizeof shifted);
+    expect_corrupt(bad, "negative census entry");
+  }
+  {
+    Checkpoint bad = good;
+    Census short_one = census;
+    short_one[index(Compartment::kS)] -= 1;
+    std::memcpy(bad.bytes.data() + census_at, short_one.data(),
+                sizeof short_one);
+    expect_corrupt(bad, "census not summing to the population");
+  }
+  (void)SeirModel::restore(good);  // the untouched bytes still load
+}
+
 TEST(Checkpoint, ConservationAfterRestore) {
   SeirModel m = seeded_model(41);
   m.run_until_day(55);

@@ -1,11 +1,14 @@
 // Discretized Erlang sojourn distributions: pmf normalization, mean
-// preservation, minimum one-day delay, cohort splitting, and the Erlang CDF
+// preservation, minimum one-day delay, cohort splitting (draw for draw
+// against the per-call conditional-binomial reference), and the Erlang CDF
 // against closed-form references.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "epi/delay.hpp"
 
@@ -14,6 +17,46 @@ namespace {
 using epismc::epi::DelayDistribution;
 using epismc::epi::erlang_cdf;
 using epismc::rng::Engine;
+
+/// Bucket counts of one split, aggregated from the emit callback.
+std::vector<std::int64_t> split_counts(const DelayDistribution& d, Engine& eng,
+                                       std::int64_t count) {
+  std::vector<std::int64_t> out(static_cast<std::size_t>(d.max_delay()), 0);
+  d.split(eng, count, [&](std::size_t i, std::int64_t n) {
+    ASSERT_GT(n, 0);
+    out.at(i) += n;
+  });
+  return out;
+}
+
+/// The split as it was computed per call before the multinomial plan:
+/// one sample_one() per individual up to 16, otherwise conditional
+/// binomials over the raw pmf with the running mass recomputed each call.
+std::vector<std::int64_t> reference_split(const DelayDistribution& d,
+                                          Engine& eng, std::int64_t count) {
+  const auto probs = d.pmf();
+  std::vector<std::int64_t> out(probs.size(), 0);
+  if (count <= 16) {
+    for (std::int64_t i = 0; i < count; ++i) {
+      out[static_cast<std::size_t>(d.sample_one(eng) - 1)] += 1;
+    }
+    return out;
+  }
+  double total = 0.0;
+  for (const double p : probs) total += p;
+  std::int64_t remaining = count;
+  double mass = total;
+  for (std::size_t i = 0; i + 1 < probs.size() && remaining > 0; ++i) {
+    const double cond = std::clamp(probs[i] / mass, 0.0, 1.0);
+    const std::int64_t draw = epismc::rng::binomial(eng, remaining, cond);
+    out[i] = draw;
+    remaining -= draw;
+    mass -= probs[i];
+    if (mass <= 0.0) break;
+  }
+  out.back() += remaining;
+  return out;
+}
 
 TEST(ErlangCdf, Shape1IsExponential) {
   // Erlang(1, scale) == Exponential(1/scale).
@@ -71,7 +114,7 @@ TEST(DelayDistribution, SplitConservesCohort) {
   const DelayDistribution d(4.0, 2, 32);
   Engine eng(20240040);
   for (const std::int64_t cohort : {0ll, 1ll, 17ll, 100000ll}) {
-    const auto buckets = d.split(eng, cohort);
+    const auto buckets = split_counts(d, eng, cohort);
     EXPECT_EQ(std::accumulate(buckets.begin(), buckets.end(), std::int64_t{0}),
               cohort);
   }
@@ -81,13 +124,40 @@ TEST(DelayDistribution, SplitMeanMatchesPmfMean) {
   const DelayDistribution d(6.0, 2, 64);
   Engine eng(20240041);
   const std::int64_t cohort = 200000;
-  const auto buckets = d.split(eng, cohort);
+  const auto buckets = split_counts(d, eng, cohort);
   double mean = 0.0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     mean += static_cast<double>(i + 1) * static_cast<double>(buckets[i]);
   }
   mean /= static_cast<double>(cohort);
   EXPECT_NEAR(mean, d.mean(), 0.05);
+}
+
+TEST(DelayDistribution, SplitMatchesReferenceDraws) {
+  // Bit-identity oracle: the plan-based split must give the same counts as
+  // the per-call reference and leave the engine at the same position, so
+  // every golden built on the SEIR simulator stays valid.
+  const auto tables =
+      epismc::epi::shared_delay_tables(epismc::epi::DiseaseParameters{});
+  const DelayDistribution* all[] = {
+      &tables->latent, &tables->presym,   &tables->asym,
+      &tables->mild,   &tables->severe,   &tables->hosp,
+      &tables->hosp_icu, &tables->icu,    &tables->posticu};
+  const std::int64_t cohorts[] = {0, 1, 16, 17, 63, 64, 65, 1000, 1000000};
+  for (std::size_t t = 0; t < std::size(all); ++t) {
+    for (const std::int64_t cohort : cohorts) {
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        Engine plan_eng(seed, t);
+        Engine ref_eng(seed, t);
+        const auto got = split_counts(*all[t], plan_eng, cohort);
+        const auto want = reference_split(*all[t], ref_eng, cohort);
+        ASSERT_EQ(got, want) << "table " << t << " cohort " << cohort
+                             << " seed " << seed;
+        ASSERT_EQ(plan_eng.position(), ref_eng.position())
+            << "table " << t << " cohort " << cohort << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(DelayDistribution, SampleOneWithinSupport) {

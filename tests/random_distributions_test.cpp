@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "random/distributions.hpp"
 
@@ -231,14 +233,90 @@ TEST(UniformInt, BoundsAndUniformity) {
 
 // --- Multinomial -------------------------------------------------------------
 
+using epismc::rng::MultinomialPlan;
+
+std::vector<std::int64_t> plan_counts(const MultinomialPlan& plan, Engine& eng,
+                                      std::int64_t n) {
+  std::vector<std::int64_t> out(plan.size(), 0);
+  std::size_t last = 0;
+  plan.draw(eng, n, [&](std::size_t i, std::int64_t count) {
+    ASSERT_GT(count, 0);
+    ASSERT_TRUE(i >= last) << "buckets out of order";
+    last = i;
+    out.at(i) += count;
+  });
+  return out;
+}
+
+/// Per-call conditional-binomial multinomial, the algorithm the plan
+/// precomputes: running mass, clamp(p[i] / mass), stop once mass <= 0.
+std::vector<std::int64_t> reference_multinomial(
+    Engine& eng, std::int64_t n, const std::vector<double>& probs) {
+  std::vector<std::int64_t> out(probs.size(), 0);
+  if (n <= 0) return out;
+  double total = 0.0;
+  for (const double p : probs) total += p;
+  std::int64_t remaining = n;
+  double mass = total;
+  for (std::size_t i = 0; i + 1 < probs.size() && remaining > 0; ++i) {
+    const double cond = std::clamp(probs[i] / mass, 0.0, 1.0);
+    const std::int64_t draw = epismc::rng::binomial(eng, remaining, cond);
+    out[i] = draw;
+    remaining -= draw;
+    mass -= probs[i];
+    if (mass <= 0.0) break;
+  }
+  out.back() += remaining;
+  return out;
+}
+
+TEST(Multinomial, PlanMatchesReferenceDraws) {
+  // Same counts, same uniforms consumed, over random vectors with zero
+  // buckets, dominant buckets (conditional p > 0.5: the flipped draw) and
+  // a vector whose mass is exhausted before its last bucket.
+  Engine gen(20240012);
+  std::vector<std::vector<double>> vectors = {
+      {1.0},
+      {0.25, 0.75, 0.0, 0.0},   // mass reaches exactly 0 at bucket 1
+      {0.0, 0.0, 3.0, 1.0},     // leading zeros, then a flipped bucket
+      {0.9, 0.05, 0.05},        // flipped first bucket
+  };
+  for (int v = 0; v < 40; ++v) {
+    const auto size = 1 + epismc::rng::uniform_int(gen, 70);
+    std::vector<double> probs(size);
+    for (auto& p : probs) {
+      const double u = epismc::rng::uniform_double(gen);
+      p = u < 0.3 ? 0.0 : u < 0.4 ? 50.0 * u : u;
+    }
+    if (probs.back() == 0.0 && size > 2) probs[size / 2] = 0.0;
+    probs[0] += 1e-3;  // never all zero
+    vectors.push_back(std::move(probs));
+  }
+  for (const auto& probs : vectors) {
+    const MultinomialPlan plan(probs);
+    ASSERT_EQ(plan.size(), probs.size());
+    for (const std::int64_t n : {0, 1, 5, 17, 63, 64, 100, 1000, 100000}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Engine plan_eng(seed, 9);
+        Engine ref_eng(seed, 9);
+        const auto got = plan_counts(plan, plan_eng, n);
+        ASSERT_EQ(got, reference_multinomial(ref_eng, n, probs))
+            << "n " << n << " size " << probs.size();
+        ASSERT_EQ(plan_eng.position(), ref_eng.position()) << "n " << n;
+      }
+    }
+  }
+}
+
 TEST(Multinomial, CountsSumAndMarginalsMatch) {
   Engine eng(20240009);
   const std::vector<double> probs = {0.1, 0.2, 0.3, 0.4};
+  const MultinomialPlan plan(probs);
   constexpr std::int64_t kN = 1000;
   constexpr int kReps = 3000;
   std::vector<double> mean(probs.size(), 0.0);
   for (int rep = 0; rep < kReps; ++rep) {
-    const auto counts = epismc::rng::multinomial(eng, kN, probs);
+    const auto counts = plan_counts(plan, eng, kN);
     std::int64_t total = 0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
       total += counts[i];
@@ -254,12 +332,11 @@ TEST(Multinomial, CountsSumAndMarginalsMatch) {
 
 TEST(Multinomial, UnnormalizedWeightsAccepted) {
   Engine eng(20240010);
-  const std::vector<double> weights = {2.0, 6.0};  // == probs {0.25, 0.75}
+  const MultinomialPlan plan(std::vector<double>{2.0, 6.0});  // {0.25, 0.75}
   double first = 0.0;
   constexpr int kReps = 2000;
   for (int rep = 0; rep < kReps; ++rep) {
-    const auto counts = epismc::rng::multinomial(eng, 100, weights);
-    first += static_cast<double>(counts[0]);
+    first += static_cast<double>(plan_counts(plan, eng, 100)[0]);
   }
   EXPECT_NEAR(first / kReps, 25.0, 1.0);
 }
@@ -267,14 +344,13 @@ TEST(Multinomial, UnnormalizedWeightsAccepted) {
 TEST(Multinomial, Validation) {
   Engine eng(1);
   const std::vector<double> negative = {0.5, -0.1};
-  EXPECT_THROW((void)epismc::rng::multinomial(eng, 10, negative),
-               std::invalid_argument);
+  EXPECT_THROW((void)MultinomialPlan(negative), std::invalid_argument);
   const std::vector<double> zeros = {0.0, 0.0};
-  EXPECT_THROW((void)epismc::rng::multinomial(eng, 10, zeros),
-               std::invalid_argument);
+  EXPECT_THROW((void)MultinomialPlan(zeros), std::invalid_argument);
+  const std::vector<double> nan = {0.5, std::nan("")};
+  EXPECT_THROW((void)MultinomialPlan(nan), std::invalid_argument);
   const std::vector<double> ok = {1.0};
-  const auto counts = epismc::rng::multinomial(eng, 10, ok);
-  EXPECT_EQ(counts[0], 10);
+  EXPECT_EQ(plan_counts(MultinomialPlan(ok), eng, 10)[0], 10);
 }
 
 TEST(Bernoulli, FrequencyMatches) {
