@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
       << bench::json_build_stamp()
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
-      << "  \"omp_max_threads\": " << machine_threads << ",\n"
+      << "  \"max_threads\": " << machine_threads << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"simd_level\": \""
       << simd::level_name(simd::active_level()) << "\",\n"

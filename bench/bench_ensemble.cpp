@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
   constexpr std::int32_t kToDay = 33;
   const std::size_t window_len = 14;
   const std::vector<int> thread_counts = {1, 4, 8};
-  // Captured before any set_threads call: omp_get_max_threads reports the
-  // last value set, so this is the only moment it reflects the machine.
+  // Captured before any set_threads call: max_threads reports the last
+  // value set, so this is the only moment it reflects the machine.
   const int machine_threads = parallel::max_threads();
 
   struct Backend {
@@ -251,9 +251,7 @@ int main(int argc, char** argv) {
       << bench::json_build_stamp()
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
-      << "  \"pool_backend\": \""
-      << parallel::backend_name(parallel::backend()) << "\",\n"
-      << "  \"omp_max_threads\": " << machine_threads << ",\n"
+      << "  \"max_threads\": " << machine_threads << ",\n"
       << "  \"replicates\": " << replicates << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"simd_level\": \"" << simd::level_name(vec_level) << "\",\n"

@@ -1,9 +1,9 @@
 // Thread-scaling benchmark for the parallel layer: propagate+score
-// throughput for all three simulator backends x every pool backend
-// {serial, omp, pool} x 1/2/4/8 threads, on the paper-baseline
-// single-window workload (days 20-33). Emits machine-readable results to
-// BENCH_scaling.json so the thread-scaling trajectory of the execution
-// engine is tracked alongside BENCH_ensemble.json's propagate numbers.
+// throughput for all three simulator backends x 1/2/4/8 pool lanes, on the
+// paper-baseline single-window workload (days 20-33). Emits
+// machine-readable results to BENCH_scaling.json so the thread-scaling
+// trajectory of the execution engine is tracked alongside
+// BENCH_ensemble.json's propagate numbers.
 //
 //   ./bench_scaling [--n-params=32] [--replicates=4] [--abm-population=6000]
 //                   [--repeats=3] [--out=BENCH_scaling.json]
@@ -15,20 +15,20 @@
 // calibration inner window actually spends its time in.
 //
 // Determinism is asserted, not assumed: every cell's score vector must be
-// bit-identical to the serial 1-thread reference for the same simulator.
+// bit-identical to the 1-lane reference (parallel_for's plain-loop path)
+// for the same simulator.
 // A mismatch fails the run (exit 1) regardless of --check, because it
 // means the index-derived-randomness contract broke.
 //
-// Speedup semantics per cell: seconds@{backend,1 thread} / seconds@{backend,
-// N threads}. Cells with threads > hardware_concurrency report null (an
-// oversubscribed "speedup" is noise, not signal). The --check gate requires
-// the pool backend's seir-event speedup at 4 threads >= --min-scaling; it
-// activates only when hardware_concurrency >= 4 and otherwise prints an
-// explicit skip line -- never a silent pass.
+// Speedup semantics per cell: seconds@1 lane / seconds@N lanes. Cells with
+// threads > hardware_concurrency report null (an oversubscribed "speedup"
+// is noise, not signal). The --check gate requires the seir-event speedup
+// at 4 lanes >= --min-scaling; it activates only when hardware_concurrency
+// >= 4 and otherwise prints an explicit skip line -- never a silent pass.
 //
 // The JSON also dumps the work-stealing pool's observability counters
-// (tasks run, steals, steal failures, idle wakeups) accumulated across the
-// pool-backend cells.
+// (tasks run, steals, steal failures, idle wakeups) accumulated across all
+// cells.
 
 #include <algorithm>
 #include <cstdio>
@@ -59,7 +59,6 @@ struct Timing {
 
 struct Cell {
   std::string simulator;
-  std::string pool_backend;
   int threads = 1;
   std::size_t n_sims = 0;
   Timing pass;
@@ -121,19 +120,6 @@ int main(int argc, char** argv) {
   // Captured before any set_threads call: max_threads reports the last
   // value set, so this is the only moment it reflects the machine.
   const int machine_threads = parallel::max_threads();
-  const parallel::PoolBackend ambient = parallel::backend();
-
-  // Which pool backends are real on this build: requesting omp in a build
-  // without OpenMP clamps to serial, which would just re-measure serial
-  // under a misleading label.
-  const bool omp_available =
-      parallel::set_backend(parallel::PoolBackend::kOmp) ==
-      parallel::PoolBackend::kOmp;
-  parallel::set_backend(ambient);
-  std::vector<parallel::PoolBackend> pool_backends = {
-      parallel::PoolBackend::kSerial};
-  if (omp_available) pool_backends.push_back(parallel::PoolBackend::kOmp);
-  pool_backends.push_back(parallel::PoolBackend::kPool);
 
   struct Simulator {
     std::string name;
@@ -174,9 +160,9 @@ int main(int argc, char** argv) {
     const core::ObservationCache cache = lik.prepare(observed);
 
     std::vector<double> scores(buf.size());
-    // One propagate+score pass under the currently selected backend and
-    // thread budget. Scratch is per-thread, indexed exactly like
-    // ModelSimulator's workspaces: thread_id() < max_threads().
+    // One propagate+score pass at the current lane count. Scratch is
+    // per-thread, indexed exactly like ModelSimulator's workspaces:
+    // thread_id() < max_threads().
     const auto pass = [&] {
       sim->run_batch(*parents, kToDay, buf, 0, buf.size());
       std::vector<std::vector<double>> scratch(
@@ -192,48 +178,39 @@ int main(int argc, char** argv) {
       });
     };
 
-    // Serial 1-thread reference: the score vector every other cell must
-    // reproduce bit-for-bit.
-    parallel::set_backend(parallel::PoolBackend::kSerial);
+    // 1-lane reference: the score vector every cell must reproduce
+    // bit-for-bit.
     parallel::set_threads(1);
     pass();
     const std::vector<double> ref_scores = scores;
 
-    for (const parallel::PoolBackend pb : pool_backends) {
-      for (const int threads : thread_counts) {
-        parallel::set_backend(pb);
-        parallel::set_threads(threads);
-        Cell cell;
-        cell.simulator = s.name;
-        cell.pool_backend = parallel::backend_name(pb);
-        cell.threads = threads;
-        cell.n_sims = buf.size();
-        pass();  // warm the worker team before timing
-        cell.pass = time_repeats(repeats, pass);
-        cell.bit_identical = scores == ref_scores;
-        if (!cell.bit_identical) {
-          determinism_broken = true;
-          std::cerr << "CHECK FAILED: " << s.name << " x " << cell.pool_backend
-                    << " x " << threads
-                    << " threads produced different scores than the serial "
-                       "1-thread reference\n";
-        }
-        cells.push_back(cell);
-        std::cout << s.name << " x " << cell.pool_backend << " @ " << threads
-                  << " threads: " << cell.pass.min * 1e3 << " ms (median "
-                  << cell.pass.median * 1e3 << " ms)\n";
+    for (const int threads : thread_counts) {
+      parallel::set_threads(threads);
+      Cell cell;
+      cell.simulator = s.name;
+      cell.threads = threads;
+      cell.n_sims = buf.size();
+      pass();  // warm the workers before timing
+      cell.pass = time_repeats(repeats, pass);
+      cell.bit_identical = scores == ref_scores;
+      if (!cell.bit_identical) {
+        determinism_broken = true;
+        std::cerr << "CHECK FAILED: " << s.name << " x " << threads
+                  << " lanes produced different scores than the 1-lane "
+                     "reference\n";
       }
+      cells.push_back(cell);
+      std::cout << s.name << " @ " << threads << " lanes: "
+                << cell.pass.min * 1e3 << " ms (median "
+                << cell.pass.median * 1e3 << " ms)\n";
     }
-    parallel::set_backend(ambient);
     parallel::set_threads(machine_threads);
   }
   const parallel::PoolStats pool_stats = parallel::pool_stats();
 
-  const auto seconds_at = [&](const std::string& simulator,
-                              const std::string& pb, int threads) {
+  const auto seconds_at = [&](const std::string& simulator, int threads) {
     for (const Cell& c : cells) {
-      if (c.simulator == simulator && c.pool_backend == pb &&
-          c.threads == threads) {
+      if (c.simulator == simulator && c.threads == threads) {
         return c.pass.min;
       }
     }
@@ -242,15 +219,12 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << "  \"schema\": \"epismc-thread-scaling-v1\",\n"
+      << "  \"schema\": \"epismc-thread-scaling-v2\",\n"
       << "  \"generated_by\": \"bench/bench_scaling\",\n"
       << "  \"workload\": \"propagate+score, paper-baseline single window, "
          "days 20-33\",\n"
       << bench::json_build_stamp() << "  \"hardware_concurrency\": " << hc
       << ",\n"
-      << "  \"pool_backend\": \""
-      << parallel::backend_name(ambient) << "\",\n"
-      << "  \"omp_available\": " << (omp_available ? "true" : "false") << ",\n"
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"replicates\": " << replicates << ",\n"
       << "  \"skipped_few_cores\": " << (hc < 4 ? "true" : "false") << ",\n"
@@ -259,8 +233,8 @@ int main(int argc, char** argv) {
       << "  \"thread_scaling\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    out << "    {\"simulator\": \"" << c.simulator << "\", \"pool_backend\": \""
-        << c.pool_backend << "\", \"threads\": " << c.threads
+    out << "    {\"simulator\": \"" << c.simulator
+        << "\", \"threads\": " << c.threads
         << ", \"n_sims\": " << c.n_sims << ",\n"
         << "     \"seconds\": " << c.pass.min
         << ", \"seconds_median\": " << c.pass.median
@@ -269,7 +243,7 @@ int main(int argc, char** argv) {
     if (static_cast<unsigned>(c.threads) > hc) {
       out << "null";
     } else {
-      out << seconds_at(c.simulator, c.pool_backend, 1) / c.pass.min;
+      out << seconds_at(c.simulator, 1) / c.pass.min;
     }
     out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
@@ -283,15 +257,15 @@ int main(int argc, char** argv) {
       std::cout << "CHECK: hardware_concurrency " << hc
                 << " < 4; thread-scaling gate skipped\n";
     } else {
-      const double speedup = seconds_at("seir-event", "pool", 1) /
-                             seconds_at("seir-event", "pool", 4);
+      const double speedup =
+          seconds_at("seir-event", 1) / seconds_at("seir-event", 4);
       if (!(speedup >= min_scaling)) {
-        std::cerr << "CHECK FAILED: seir-event pool backend is " << speedup
-                  << "x at 4 threads vs 1 (required >= " << min_scaling
+        std::cerr << "CHECK FAILED: seir-event is " << speedup
+                  << "x at 4 lanes vs 1 (required >= " << min_scaling
                   << "x)\n";
         failed = true;
       } else {
-        std::cout << "CHECK: seir-event pool 4-thread speedup " << speedup
+        std::cout << "CHECK: seir-event 4-lane speedup " << speedup
                   << "x >= " << min_scaling << "x\n";
       }
     }

@@ -261,21 +261,16 @@ BENCHMARK(BM_EnsemblePropagate)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelFor(benchmark::State& state) {
-  // parallel_for dispatch overhead per backend: a loop of `count` indices
-  // whose body spins for `body_ns` of work-alike arithmetic. Small counts
-  // with cheap bodies measure pure scheduling cost; large counts with
-  // heavier bodies show where the pool's steal-half splitting amortizes.
-  // Thread budget is the machine default; serial cells are the
-  // no-machinery baseline.
-  const auto backend = static_cast<parallel::PoolBackend>(state.range(0));
+  // parallel_for dispatch overhead: a loop of `count` indices whose body
+  // spins for `body_ns` of work-alike arithmetic. Small counts with cheap
+  // bodies measure pure scheduling cost; large counts with heavier bodies
+  // show where the pool's steal-half splitting amortizes. The 1-lane cells
+  // take parallel_for's plain-loop path: the no-machinery baseline.
+  const int lanes = static_cast<int>(state.range(0));
   const auto count = static_cast<std::size_t>(state.range(1));
   const auto body_spin = static_cast<int>(state.range(2));
-  if (backend == parallel::PoolBackend::kOmp &&
-      parallel::set_backend(backend) != backend) {
-    state.SkipWithError("OpenMP not compiled in");
-    return;
-  }
-  const parallel::ScopedBackend guard(backend);
+  static const int kMachineThreads = parallel::max_threads();
+  parallel::set_threads(lanes);
   std::vector<double> out(count);
   for (auto _ : state) {
     parallel::parallel_for(count, [&](std::size_t i) {
@@ -285,23 +280,18 @@ void BM_ParallelFor(benchmark::State& state) {
     });
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(parallel::backend_name(backend));
+  parallel::set_threads(kMachineThreads);
   state.SetItemsProcessed(static_cast<std::int64_t>(count) *
                           state.iterations());
 }
 BENCHMARK(BM_ParallelFor)
-    ->ArgNames({"backend", "count", "spin"})
-    ->ArgsProduct({{static_cast<int>(parallel::PoolBackend::kSerial),
-                    static_cast<int>(parallel::PoolBackend::kOmp),
-                    static_cast<int>(parallel::PoolBackend::kPool)},
-                   {64, 4096},
-                   {0, 400}});
+    ->ArgNames({"lanes", "count", "spin"})
+    ->ArgsProduct({{1, 4}, {64, 4096}, {0, 400}});
 
 void BM_PoolSubmit(benchmark::State& state) {
   // Raw TaskPool::run round-trip for a single already-split range: the
   // floor cost of one external submission (root-lane claim, wake, join)
-  // that every pool-backend parallel_for pays once.
-  const parallel::ScopedBackend guard(parallel::PoolBackend::kPool);
+  // that every multi-lane parallel_for pays once.
   const auto fn = +[](void*, std::size_t, std::size_t) {};
   parallel::TaskPool::instance().run(1, 1, fn, nullptr);  // spawn workers
   for (auto _ : state) {

@@ -3,9 +3,7 @@
 // (theta, s, rho) tuples; this bench fixes one window's workload and sweeps
 // the thread count, reporting speedup and parallel efficiency. It also
 // verifies that results are bit-identical across thread counts (the
-// counter-based RNG contract). --pool=serial|omp|pool selects the
-// parallel_for engine the sweep runs on (default: the ambient backend, so
-// EPISMC_POOL also works).
+// counter-based RNG contract).
 
 #include <iostream>
 
@@ -17,9 +15,7 @@ int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   const bench::BenchBudget budget = bench::parse_budget(args, 600, 5, 1200);
   const std::string thread_list = args.get_string("threads", "1,2,4,8,16,24");
-  const std::string pool_name = args.get_string("pool", "");
   args.check_unused();
-  if (!pool_name.empty()) parallel::set_backend(pool_name);
 
   (void)bench::paper_truth();  // simulate once, outside the timed loops
 
@@ -34,8 +30,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Strong scaling: one calibration window, "
             << budget.n_params * budget.replicates
             << " trajectories x 14 days, hardware threads: " << hw
-            << ", pool backend: "
-            << parallel::backend_name(parallel::backend()) << " ===\n\n";
+            << " ===\n\n";
 
   core::CalibrationConfig config = bench::paper_calibration(budget, false);
   config.windows = {{20, 33}};

@@ -638,12 +638,22 @@ AgentBasedModel AgentBasedModel::restore(const epi::Checkpoint& ckpt,
                            "AgentBasedModel::restore: unknown engine tag");
   }
   m.config_.engine = static_cast<AbmEngine>(engine_tag);
+  io::validate_archived("AgentBasedModel::restore",
+                        [&] { m.config_.validate(); });
   m.transmission_ = epi::PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<epi::Census>();
   m.state_ = in.read_vector<std::uint8_t>();
   m.next_state_ = in.read_vector<std::uint8_t>();
   m.next_day_ = in.read_vector<std::int32_t>();
+  // build_households() below sizes the network from population.
+  const auto n = static_cast<std::size_t>(m.config_.disease.population);
+  if (m.state_.size() != n || m.next_state_.size() != n ||
+      m.next_day_.size() != n) {
+    throw io::ArchiveError(
+        io::ArchiveErrorKind::kCorrupt,
+        "AgentBasedModel::restore: agent arrays do not match population");
+  }
   m.hot_households_ = in.read_vector<std::uint32_t>();
   // Each bucket is at least its u64 length prefix.
   m.ring_.resize(in.read_count<std::uint32_t>(sizeof(std::uint64_t)));

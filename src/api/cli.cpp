@@ -26,17 +26,11 @@ void apply_simd_flag(const io::Args& args) {
   if (!level.empty()) simd::set_level(level);
 }
 
-void apply_pool_flag(const io::Args& args) {
-  const std::string backend = args.get_string("pool", "");
-  if (!backend.empty()) parallel::set_backend(backend);
-}
-
 void configure_session_from_args(CalibrationSession& session,
                                  const io::Args& args,
                                  const CliDefaults& defaults) {
   apply_threads_flag(args);
   apply_simd_flag(args);
-  apply_pool_flag(args);
 
   session.with_simulator(args.get_string("simulator", defaults.simulator));
   session.with_scenario(args.get_string("scenario", defaults.scenario));

@@ -18,11 +18,8 @@
 //   --on-degenerate=P   non-finite log-likelihood policy: quarantine
 //                       (demote to -inf, keep going -- default) | throw
 //   --abm-engine=NAME   agent-based day-step engine: fast | reference
-//   --threads=N         thread budget: pool lanes + OpenMP team
-//                       (parallel::set_threads)
-//   --pool=BACKEND      parallel_for backend: serial | omp | pool
-//                       (overrides the EPISMC_POOL environment variable;
-//                       results are bit-identical across backends)
+//   --threads=N         pool lane count (parallel::set_threads); results
+//                       are bit-identical at every lane count
 //   --simd=LEVEL        SIMD dispatch level: scalar | sse41 | avx2 |
 //                       avx512 | auto (clamped to binary/host support;
 //                       overrides the EPISMC_SIMD environment variable)
@@ -80,11 +77,6 @@ void apply_threads_flag(const io::Args& args);
 /// (std::invalid_argument listing the accepted names); absent flag leaves
 /// the dispatcher at its EPISMC_SIMD/default state.
 void apply_simd_flag(const io::Args& args);
-
-/// Apply --pool=BACKEND via parallel::set_backend. Unknown names are
-/// fatal (std::invalid_argument); absent flag leaves the backend at its
-/// EPISMC_POOL/compile-default state.
-void apply_pool_flag(const io::Args& args);
 
 /// Print every registry's names (simulators, scenarios, likelihoods, bias
 /// models, jitter policies) -- the `--list` flag.

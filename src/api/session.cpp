@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "parallel/parallel.hpp"
 #include "simd/simd.hpp"
 
 namespace epismc::api {
@@ -217,15 +216,6 @@ CalibrationSession& CalibrationSession::with_simd_level(
   // unbuilt guard keeps the fluent contract uniform -- all with_* calls
   // precede the first run.
   simd::set_level(level_name);
-  return *this;
-}
-
-CalibrationSession& CalibrationSession::with_pool_backend(
-    const std::string& backend_name) {
-  require_unbuilt("with_pool_backend");
-  // Same shape as with_simd_level: process-global engine selection, no
-  // effect on results (backends are bit-identical by contract).
-  parallel::set_backend(backend_name);
   return *this;
 }
 

@@ -330,6 +330,8 @@ ChainBinomialModel ChainBinomialModel::restore(const Checkpoint& ckpt,
   }
   ChainBinomialModel m;
   m.params_ = DiseaseParameters::deserialize(in);
+  io::validate_archived("ChainBinomialModel::restore",
+                        [&] { m.params_.validate(); });
   m.transmission_ = PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<Census>();

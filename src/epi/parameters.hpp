@@ -86,8 +86,8 @@ struct DiseaseParameters {
     fraction(detect_presymptomatic, "detect_presymptomatic");
     fraction(detect_mild, "detect_mild");
     fraction(detect_severe, "detect_severe");
-    if (detection_delay < 1) {
-      throw std::invalid_argument("DiseaseParameters: detection_delay must be >= 1");
+    if (detection_delay < 1 || detection_delay > 512) {
+      throw std::invalid_argument("DiseaseParameters: detection_delay must be in [1, 512]");
     }
     fraction(asymptomatic_infectiousness, "asymptomatic_infectiousness");
     fraction(detected_infectiousness, "detected_infectiousness");

@@ -343,6 +343,8 @@ SeirModel SeirModel::restore(const Checkpoint& ckpt,
 
   SeirModel m;
   m.params_ = DiseaseParameters::deserialize(in);
+  // Before the delays size the event ring below.
+  io::validate_archived("SeirModel::restore", [&] { m.params_.validate(); });
   m.transmission_ = PiecewiseSchedule::deserialize(in);
   m.day_ = in.read<std::int32_t>();
   m.counts_ = in.read<Census>();

@@ -73,6 +73,20 @@ class ArchiveError : public std::runtime_error {
   ArchiveErrorKind kind_;
 };
 
+/// Run a loader's range check over fields it has just read. A
+/// std::invalid_argument from `check` (a parameter struct's validate())
+/// becomes ArchiveError(kCorrupt), so corrupt stored parameters fail typed,
+/// before anything is sized from them.
+template <typename Check>
+void validate_archived(const char* loader, Check&& check) {
+  try {
+    check();
+  } catch (const std::invalid_argument& e) {
+    throw ArchiveError(ArchiveErrorKind::kCorrupt,
+                       std::string(loader) + ": " + e.what());
+  }
+}
+
 /// The 24-byte frame save() appends after the payload: payload length,
 /// generation stamp, footer magic, and a CRC32C over every byte before
 /// the crc field (payload included). Exposed so the rotation layer and

@@ -5,13 +5,11 @@
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "parallel/parallel.hpp"
 
@@ -176,8 +174,14 @@ TaskPool::~TaskPool() {
 
 int TaskPool::current_lane() noexcept { return tl_lane; }
 
+int TaskPool::max_lanes() noexcept {
+  static const int cap = static_cast<int>(
+      std::max(256u, std::thread::hardware_concurrency()));
+  return cap;
+}
+
 void TaskPool::set_lanes(int n) {
-  if (n < 1) n = 1;
+  n = std::clamp(n, 1, max_lanes());
   if (n == lanes_target_.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(sync_->structure);
   teardown_workers_locked();
@@ -435,99 +439,9 @@ void TaskPool::reset_peak() noexcept {
   peak_active_.store(0, std::memory_order_relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Backend selection (parallel.hpp's PoolBackend surface).
-// ---------------------------------------------------------------------------
+PoolBackend backend() noexcept { return PoolBackend::kPool; }
 
-namespace {
-
-/// Compile-time default backend, overridable per build via the CMake cache
-/// string EPISMC_DEFAULT_POOL (stamped as a compile definition on this TU).
-#ifndef EPISMC_DEFAULT_POOL_BACKEND
-#define EPISMC_DEFAULT_POOL_BACKEND "pool"
-#endif
-
-/// Requesting omp in a build without OpenMP degrades to serial -- the same
-/// behavior the old #else branch of parallel_for had.
-PoolBackend clamp_backend(PoolBackend b) noexcept {
-#ifndef _OPENMP
-  if (b == PoolBackend::kOmp) return PoolBackend::kSerial;
-#endif
-  return b;
-}
-
-std::atomic<int> g_backend{-1};  // -1 = not resolved yet
-
-PoolBackend resolve_initial_backend() noexcept {
-  PoolBackend b = PoolBackend::kPool;
-  try {
-    b = parse_backend(EPISMC_DEFAULT_POOL_BACKEND);
-  } catch (...) {
-    // Malformed cache value baked into the build; keep the pool default.
-  }
-  if (const char* env = std::getenv("EPISMC_POOL")) {
-    try {
-      b = parse_backend(env);
-    } catch (...) {
-      // Lazy resolution must not throw from noexcept callers; unknown env
-      // values keep the compile default. refresh_backend_from_env() is the
-      // strict entry point.
-    }
-  }
-  return clamp_backend(b);
-}
-
-}  // namespace
-
-PoolBackend backend() noexcept {
-  int v = g_backend.load(std::memory_order_acquire);
-  if (v < 0) {
-    const PoolBackend resolved = resolve_initial_backend();
-    int expected = -1;
-    if (g_backend.compare_exchange_strong(expected, static_cast<int>(resolved),
-                                          std::memory_order_acq_rel)) {
-      return resolved;
-    }
-    v = expected;  // another thread resolved first
-  }
-  return static_cast<PoolBackend>(v);
-}
-
-PoolBackend set_backend(PoolBackend b) noexcept {
-  const PoolBackend effective = clamp_backend(b);
-  g_backend.store(static_cast<int>(effective), std::memory_order_release);
-  return effective;
-}
-
-PoolBackend set_backend(const std::string& name) {
-  return set_backend(parse_backend(name));
-}
-
-PoolBackend parse_backend(const std::string& name) {
-  if (name == "serial") return PoolBackend::kSerial;
-  if (name == "omp") return PoolBackend::kOmp;
-  if (name == "pool") return PoolBackend::kPool;
-  throw std::invalid_argument("unknown pool backend '" + name +
-                              "' (expected serial|omp|pool)");
-}
-
-const char* backend_name(PoolBackend b) noexcept {
-  switch (b) {
-    case PoolBackend::kSerial:
-      return "serial";
-    case PoolBackend::kOmp:
-      return "omp";
-    case PoolBackend::kPool:
-      return "pool";
-  }
-  return "serial";
-}
-
-void refresh_backend_from_env() {
-  if (const char* env = std::getenv("EPISMC_POOL")) {
-    set_backend(parse_backend(env));
-  }
-}
+const char* backend_name(PoolBackend) noexcept { return "pool"; }
 
 void prepare_fork() { TaskPool::instance().prepare_fork(); }
 

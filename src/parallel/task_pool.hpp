@@ -1,7 +1,7 @@
 #pragma once
 
-// Persistent work-stealing task pool: the thread backend behind
-// parallel::parallel_for when EPISMC_POOL=pool (the default build).
+// Persistent work-stealing task pool: the one thread engine behind
+// parallel::parallel_for.
 //
 // Layout. The pool is a set of `lanes` execution lanes. Lane 0 is the
 // submitting (external) thread; lanes 1..lanes-1 are worker threads,
@@ -29,16 +29,15 @@
 //
 // Determinism. The pool decides only *where* a chunk executes, never
 // what it computes: bodies receive the index alone, so results are
-// bit-identical across 1/4/8/16 lanes and across the serial/omp/pool
-// backends (tests/parallel_test.cpp locks a full calibration window).
+// bit-identical across 1/4/8/16 lanes, including the 1-lane serial path
+// (tests/parallel_test.cpp locks a full calibration window).
 //
 // Fork safety. prepare_fork() joins and discards every worker; parent
 // and child then respawn lazily on their next run(). A fork that skipped
 // prepare_fork is still survivable: the pool notices the pid change and
 // abandons the inherited (nonexistent-in-the-child) thread handles
 // rather than joining them. src/supervise/ calls prepare_fork() before
-// every child spawn, which is what lifted the old "parents must stay
-// OpenMP-virgin" restriction for the pool backend.
+// every child spawn, so a parent may run parallel work before forking.
 //
 // Memory model / TSan. top and bottom are seq_cst (the owner's
 // pop-vs-steal arbitration needs a StoreLoad order that relaxed+fence
@@ -85,15 +84,16 @@ class TaskPool {
   /// exception itself.
   using RangeFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
 
-  /// The process-wide pool (workers are a per-process resource, like the
-  /// OpenMP runtime's team).
+  /// The process-wide pool (workers are a per-process resource).
   [[nodiscard]] static TaskPool& instance();
 
-  /// Target lane count (>= 1). Takes effect lazily: live workers are
-  /// torn down when the count changes and respawn on the next run().
-  /// Not safe concurrently with run() -- same contract as
-  /// omp_set_num_threads.
+  /// Target lane count, clamped to [1, max_lanes()]. Takes effect
+  /// lazily: live workers are torn down when the count changes and
+  /// respawn on the next run(). Not safe concurrently with run().
   void set_lanes(int n);
+  /// Upper bound on the lane count: max(256, hardware threads), so a
+  /// mistyped thread count cannot spawn an unbounded number of threads.
+  [[nodiscard]] static int max_lanes() noexcept;
   [[nodiscard]] int lanes() const noexcept {
     return lanes_target_.load(std::memory_order_relaxed);
   }

@@ -188,6 +188,31 @@ TEST(AbmModel, HugeRingLengthFailsTyped) {
   }
 }
 
+TEST(AbmModel, CorruptPopulationFailsTyped) {
+  // A stored population that disagrees with the archived agent arrays must
+  // fail as a typed corruption before the household network is sized from
+  // it.
+  AgentBasedModel m = seeded(29);
+  m.run_until_day(10);
+  epi::Checkpoint ckpt = m.make_checkpoint();
+  // DiseaseParameters opens the payload after the 8-byte archive header,
+  // and population is its first field.
+  constexpr std::size_t kPopulationAt = 8;
+  std::int64_t population = 0;
+  std::memcpy(&population, ckpt.bytes.data() + kPopulationAt,
+              sizeof population);
+  ASSERT_EQ(population, small_config().disease.population);
+  population *= 10;
+  std::memcpy(ckpt.bytes.data() + kPopulationAt, &population,
+              sizeof population);
+  try {
+    (void)AgentBasedModel::restore(ckpt);
+    FAIL() << "population " << population << " was accepted";
+  } catch (const io::ArchiveError& e) {
+    EXPECT_EQ(e.kind(), io::ArchiveErrorKind::kCorrupt) << e.what();
+  }
+}
+
 TEST(AbmModel, SeedValidation) {
   AgentBasedModel m = seeded(19);
   EXPECT_THROW(m.seed_exposed(-1), std::invalid_argument);

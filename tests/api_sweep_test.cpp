@@ -105,13 +105,11 @@ TEST(Sweep, ByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Sweep, HierarchicalSchedulingNeverOversubscribesLanes) {
-  // Under the pool backend the outer cell loop and the inner particle
-  // loops share one set of lanes via hierarchical submit; peak_active is
-  // the observable that nesting never exceeded the configured budget.
+  // The outer cell loop and the inner particle loops share one set of
+  // lanes via hierarchical submit; peak_active is the observable that
+  // nesting never exceeded the configured budget.
   const api::ScenarioSweep sweep = small_sweep();
   const int prev_threads = parallel::max_threads();
-  const parallel::PoolBackend prev_backend = parallel::backend();
-  parallel::set_backend(parallel::PoolBackend::kPool);
   parallel::set_threads(4);
   parallel::TaskPool::instance().reset_peak();
 
@@ -123,15 +121,15 @@ TEST(Sweep, HierarchicalSchedulingNeverOversubscribesLanes) {
   EXPECT_GE(stats.peak_active, 1);
   EXPECT_EQ(stats.lanes, 4);
 
-  // Same answer as the serial reference: hierarchical placement is an
-  // engine decision, not a statistical one.
-  parallel::set_backend(parallel::PoolBackend::kSerial);
+  // Same answer as the 1-lane reference, and at 8 lanes: hierarchical
+  // placement is an engine decision, not a statistical one.
   parallel::set_threads(1);
   const auto serial = fingerprint(sweep.run_all());
   EXPECT_EQ(pooled, serial);
+  parallel::set_threads(8);
+  EXPECT_EQ(fingerprint(sweep.run_all()), serial);
 
   parallel::set_threads(prev_threads);
-  parallel::set_backend(prev_backend);
 }
 
 TEST(Sweep, CellsInvariantToListOrdering) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "epi/chain_binomial.hpp"
@@ -95,6 +96,29 @@ TEST(ChainBinomial, RejectsEventEngineCheckpoints) {
   EXPECT_THROW(
       (void)ChainBinomialModel::restore(event_model.make_checkpoint()),
       epismc::io::ArchiveError);
+}
+
+TEST(ChainBinomial, CorruptParameterFailsTyped) {
+  // A stored parameter out of its range fails as a typed corruption, not
+  // as the std::invalid_argument that a bad restart override raises.
+  ChainBinomialModel m(test_params(), PiecewiseSchedule(0.3), 19);
+  m.seed_exposed(100);
+  m.run_until_day(10);
+  Checkpoint ckpt = m.make_checkpoint();
+  // The 8-byte archive header, then DiseaseParameters field by field:
+  // detection_delay follows population, 17 doubles and two ints.
+  constexpr std::size_t kDetectionDelayAt = 8 + 8 + 9 * 8 + 2 * 4 + 8 * 8;
+  int delay = 0;
+  std::memcpy(&delay, ckpt.bytes.data() + kDetectionDelayAt, sizeof delay);
+  ASSERT_EQ(delay, test_params().detection_delay);
+  delay = 100'000;
+  std::memcpy(ckpt.bytes.data() + kDetectionDelayAt, &delay, sizeof delay);
+  try {
+    (void)ChainBinomialModel::restore(ckpt);
+    FAIL() << "detection_delay " << delay << " was accepted";
+  } catch (const epismc::io::ArchiveError& e) {
+    EXPECT_EQ(e.kind(), epismc::io::ArchiveErrorKind::kCorrupt) << e.what();
+  }
 }
 
 TEST(CrossEngine, AggregateEpidemicSizesComparable) {

@@ -281,6 +281,29 @@ TEST(Checkpoint, CorruptEventFailsTyped) {
   (void)SeirModel::restore(good);  // the untouched bytes still load
 }
 
+TEST(Checkpoint, CorruptParameterFailsTyped) {
+  // A stored parameter out of its range must fail as a typed corruption
+  // before the loader sizes the event ring from it (27 x 8 B per day of
+  // detection delay).
+  SeirModel m = seeded_model(47);
+  m.run_until_day(10);
+  Checkpoint ckpt = m.make_checkpoint();
+  // The 8-byte archive header, then DiseaseParameters field by field:
+  // detection_delay follows population, 17 doubles and two ints.
+  constexpr std::size_t kDetectionDelayAt = 8 + 8 + 9 * 8 + 2 * 4 + 8 * 8;
+  int delay = 0;
+  std::memcpy(&delay, ckpt.bytes.data() + kDetectionDelayAt, sizeof delay);
+  ASSERT_EQ(delay, test_params().detection_delay);
+  delay = 100'000;
+  std::memcpy(ckpt.bytes.data() + kDetectionDelayAt, &delay, sizeof delay);
+  try {
+    (void)SeirModel::restore(ckpt);
+    FAIL() << "detection_delay " << delay << " was accepted";
+  } catch (const epismc::io::ArchiveError& e) {
+    EXPECT_EQ(e.kind(), epismc::io::ArchiveErrorKind::kCorrupt) << e.what();
+  }
+}
+
 TEST(Checkpoint, ConservationAfterRestore) {
   SeirModel m = seeded_model(41);
   m.run_until_day(55);

@@ -1,12 +1,12 @@
 // Threading layer: full index coverage, exactly-once execution, the
-// determinism contract (identical results for any thread count AND any
-// backend when loop bodies derive randomness from the index), exception
-// aggregation, work-stealing pool scheduling (steal counters, hierarchical
-// nesting, fork-then-reuse), and backend selection.
+// determinism contract (identical results at any lane count, the 1-lane
+// serial path included, when loop bodies derive randomness from the index),
+// exception aggregation, the lane-count cap, and work-stealing pool
+// scheduling (steal counters, hierarchical nesting, fork-then-reuse).
 //
 // This file is the payload of the ThreadSanitizer CI leg: it runs with
-// -fsanitize=thread against the pool backend, so pool tests here double as
-// race detectors for the Chase-Lev deques and the idle/wake protocol.
+// -fsanitize=thread, so pool tests here double as race detectors for the
+// Chase-Lev deques and the idle/wake protocol.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +52,6 @@ TEST(ParallelFor, EveryIndexExactlyOnce) {
 
 TEST(ParallelFor, EveryIndexExactlyOnceOnPoolLanes) {
   ScopedThreads threads(8);
-  parallel::ScopedBackend pool(parallel::PoolBackend::kPool);
   for (int rep = 0; rep < 20; ++rep) {
     constexpr std::size_t kN = 5000;
     std::vector<std::atomic<int>> hits(kN);
@@ -92,9 +91,8 @@ TEST(ParallelFor, IndexDerivedRandomnessIsThreadCountInvariant) {
 
 TEST(ParallelFor, ResultsAreBackendInvariant) {
   constexpr std::size_t kN = 3000;
-  const auto run_on = [&](parallel::PoolBackend be, int threads) {
+  const auto run_on = [&](int threads) {
     ScopedThreads scoped(threads);
-    parallel::ScopedBackend backend(be);
     std::vector<double> out(kN);
     parallel::parallel_for(kN, [&](std::size_t i) {
       auto eng = rng::make_engine(99, {i});
@@ -102,10 +100,9 @@ TEST(ParallelFor, ResultsAreBackendInvariant) {
     });
     return out;
   };
-  const auto serial = run_on(parallel::PoolBackend::kSerial, 1);
-  EXPECT_EQ(serial, run_on(parallel::PoolBackend::kPool, 4));
-  EXPECT_EQ(serial, run_on(parallel::PoolBackend::kPool, 8));
-  EXPECT_EQ(serial, run_on(parallel::PoolBackend::kOmp, 4));
+  const auto serial = run_on(1);
+  EXPECT_EQ(serial, run_on(4));
+  EXPECT_EQ(serial, run_on(8));
 }
 
 TEST(ParallelFor, ChunkSizeDoesNotChangeResults) {
@@ -120,14 +117,11 @@ TEST(ParallelFor, ChunkSizeDoesNotChangeResults) {
 }
 
 TEST(ParallelFor, ExceptionAggregationAcrossBackends) {
-  // Contract on every backend: body exceptions are captured per index,
-  // the remaining iterations still run, one captured exception is
-  // rethrown at the join point.
-  for (const parallel::PoolBackend be :
-       {parallel::PoolBackend::kSerial, parallel::PoolBackend::kOmp,
-        parallel::PoolBackend::kPool}) {
-    ScopedThreads threads(4);
-    parallel::ScopedBackend backend(be);
+  // Contract at every lane count, the 1-lane plain loop included: body
+  // exceptions are captured per index, the remaining iterations still
+  // run, one captured exception is rethrown at the join point.
+  for (const int lanes : {1, 4, 8}) {
+    ScopedThreads threads(lanes);
     constexpr std::size_t kN = 512;
     std::vector<std::atomic<int>> ran(kN);
     bool caught = false;
@@ -143,43 +137,35 @@ TEST(ParallelFor, ExceptionAggregationAcrossBackends) {
       caught = true;
       EXPECT_STREQ(e.what(), "task failure");
     }
-    EXPECT_TRUE(caught) << "backend " << parallel::backend_name(be);
+    EXPECT_TRUE(caught) << "lanes " << lanes;
     for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(ran[i].load(), 1)
-          << "backend " << parallel::backend_name(be) << " index " << i;
+      ASSERT_EQ(ran[i].load(), 1) << "lanes " << lanes << " index " << i;
     }
   }
 }
 
 TEST(Backend, ParseClampAndNames) {
-  EXPECT_EQ(parallel::parse_backend("serial"), parallel::PoolBackend::kSerial);
-  EXPECT_EQ(parallel::parse_backend("omp"), parallel::PoolBackend::kOmp);
-  EXPECT_EQ(parallel::parse_backend("pool"), parallel::PoolBackend::kPool);
-  EXPECT_THROW(parallel::parse_backend("fibers"), std::invalid_argument);
-  EXPECT_THROW(parallel::parse_backend(""), std::invalid_argument);
-
-  EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kSerial),
-               "serial");
-  EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kOmp), "omp");
-  EXPECT_STREQ(parallel::backend_name(parallel::PoolBackend::kPool), "pool");
-
-  const parallel::PoolBackend prev = parallel::backend();
-  const parallel::PoolBackend eff =
-      parallel::set_backend(parallel::PoolBackend::kOmp);
-#ifdef _OPENMP
-  EXPECT_EQ(eff, parallel::PoolBackend::kOmp);
-#else
-  // Builds without OpenMP clamp omp requests to serial instead of failing.
-  EXPECT_EQ(eff, parallel::PoolBackend::kSerial);
-#endif
-  EXPECT_EQ(parallel::backend(), eff);
-  parallel::set_backend(prev);
+  // The pool is the only engine; the name survives as a bench stamp.
+  EXPECT_EQ(parallel::backend(), parallel::PoolBackend::kPool);
+  EXPECT_STREQ(parallel::backend_name(parallel::backend()), "pool");
 }
 
 TEST(Backend, SerialBackendReportsOneThread) {
-  parallel::ScopedBackend backend(parallel::PoolBackend::kSerial);
+  ScopedThreads one(1);
   EXPECT_EQ(parallel::max_threads(), 1);
   EXPECT_EQ(parallel::thread_id(), 0);
+}
+
+TEST(Threads, LaneCountIsCapped) {
+  // A huge --threads value must not turn into that many OS threads.
+  // Workers spawn lazily at the first parallel_for, and none runs here,
+  // so this test starts no thread whatever the cap.
+  const int cap = parallel::TaskPool::max_lanes();
+  EXPECT_GE(cap, 256);
+  EXPECT_GE(static_cast<unsigned>(cap), std::thread::hardware_concurrency());
+  ScopedThreads huge(1'000'000);
+  EXPECT_LE(parallel::max_threads(), cap);
+  EXPECT_GE(parallel::max_threads(), 1);
 }
 
 TEST(Threads, IntrospectionSane) {
@@ -189,7 +175,6 @@ TEST(Threads, IntrospectionSane) {
 
 TEST(Threads, ThreadIdStaysBelowMaxThreadsInsidePoolBodies) {
   ScopedThreads threads(4);
-  parallel::ScopedBackend backend(parallel::PoolBackend::kPool);
   const int cap = parallel::max_threads();
   ASSERT_EQ(cap, 4);
   std::atomic<bool> ok{true};
@@ -205,10 +190,6 @@ TEST(Threads, ThreadIdStaysBelowMaxThreadsInsidePoolBodies) {
 
 TEST(DefaultChunk, TinyAndHugeCounts) {
   ScopedThreads threads(4);
-  // The heuristic divides by max_threads(), which is backend-dependent
-  // (serial reports 1); pin the pool backend so the expectations below
-  // hold regardless of the ambient EPISMC_POOL.
-  parallel::ScopedBackend backend(parallel::PoolBackend::kPool);
   // Tiny loops never round the chunk down to zero.
   EXPECT_EQ(parallel::default_chunk(0), 1);
   EXPECT_EQ(parallel::default_chunk(1), 1);
@@ -233,7 +214,6 @@ TEST(DefaultChunk, TinyAndHugeCounts) {
 
 TEST(TaskPool, StealCountersRecordRebalancing) {
   ScopedThreads threads(4);
-  parallel::ScopedBackend backend(parallel::PoolBackend::kPool);
   constexpr std::size_t kN = 256;
 
   const parallel::LaneStats before = parallel::pool_stats().totals();
@@ -269,7 +249,6 @@ TEST(TaskPool, StealCountersRecordRebalancing) {
 
 TEST(TaskPool, HierarchicalNestingStaysWithinLaneBudget) {
   ScopedThreads threads(4);
-  parallel::ScopedBackend backend(parallel::PoolBackend::kPool);
   parallel::TaskPool::instance().reset_peak();
 
   constexpr std::size_t kOuter = 8;
@@ -297,7 +276,6 @@ TEST(TaskPool, HierarchicalNestingStaysWithinLaneBudget) {
 
 TEST(TaskPool, ForkThenReuseOnBothSides) {
   ScopedThreads threads(4);
-  parallel::ScopedBackend backend(parallel::PoolBackend::kPool);
 
   // Warm the pool so workers exist before the fork.
   std::atomic<long> warm{0};
@@ -332,8 +310,8 @@ TEST(TaskPool, ForkThenReuseOnBothSides) {
 
 TEST(Calibration, FullWindowBitIdenticalAcrossBackendsAndWorkerCounts) {
   // The end-to-end determinism gate: one calibration window's weights,
-  // resampled ids and posterior draws must be bit-identical no matter
-  // which backend ran the particle loops or how many workers it used.
+  // resampled ids and posterior draws must be bit-identical no matter how
+  // many lanes ran the particle loops (1 lane is the plain serial loop).
   core::ScenarioConfig scenario;
   scenario.params.population = 200000;
   scenario.initial_exposed = 120;
@@ -346,9 +324,8 @@ TEST(Calibration, FullWindowBitIdenticalAcrossBackendsAndWorkerCounts) {
   spec.params = scenario.params;
   spec.initial_exposed = scenario.initial_exposed;
 
-  const auto run_on = [&](parallel::PoolBackend be, int threads) {
+  const auto run_on = [&](int threads) {
     ScopedThreads scoped(threads);
-    parallel::ScopedBackend backend(be);
     api::CalibrationSession session;
     session.with_simulator("seir-event", spec)
         .with_data(truth.observed())
@@ -359,22 +336,14 @@ TEST(Calibration, FullWindowBitIdenticalAcrossBackendsAndWorkerCounts) {
     return session;
   };
 
-  api::CalibrationSession reference = run_on(parallel::PoolBackend::kSerial, 1);
+  api::CalibrationSession reference = run_on(1);
   const core::WindowResult& ref = reference.results().back();
   ASSERT_FALSE(ref.weights.empty());
 
-  struct Case {
-    parallel::PoolBackend backend;
-    int threads;
-  };
-  for (const Case c : {Case{parallel::PoolBackend::kPool, 1},
-                       Case{parallel::PoolBackend::kPool, 4},
-                       Case{parallel::PoolBackend::kPool, 8},
-                       Case{parallel::PoolBackend::kOmp, 4}}) {
-    api::CalibrationSession session = run_on(c.backend, c.threads);
+  for (const int threads : {2, 4, 8}) {
+    api::CalibrationSession session = run_on(threads);
     const core::WindowResult& got = session.results().back();
-    const std::string label = std::string(parallel::backend_name(c.backend)) +
-                              "/" + std::to_string(c.threads);
+    const std::string label = "lanes " + std::to_string(threads);
     EXPECT_EQ(got.weights, ref.weights) << label;
     EXPECT_EQ(got.resampled, ref.resampled) << label;
     EXPECT_EQ(got.posterior_thetas(), ref.posterior_thetas()) << label;

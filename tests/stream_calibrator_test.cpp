@@ -68,10 +68,11 @@ api::SimulatorSpec test_spec() {
   return spec;
 }
 
-api::CalibrationSession make_session(CalibrationConfig cfg,
-                                     const std::string& simulator) {
+api::CalibrationSession make_session(
+    CalibrationConfig cfg, const std::string& simulator,
+    const api::SimulatorSpec& spec = test_spec()) {
   api::CalibrationSession session;
-  session.with_simulator(simulator, test_spec())
+  session.with_simulator(simulator, spec)
       .with_data(test_truth().observed())
       .with_config(std::move(cfg));
   return session;
@@ -133,17 +134,19 @@ void expect_window_bit_identical(const WindowResult& batch,
 
 // --- Batch-vs-stream equivalence. ------------------------------------------
 
-void run_bit_exact_comparison(const std::string& simulator) {
+void run_bit_exact_comparison(const std::string& simulator,
+                              const api::SimulatorSpec& spec = test_spec(),
+                              const CalibrationConfig& cfg = small_config()) {
   // Stream-vs-batch bit-identity is a scalar-path contract: the batch
   // window scores 28 days in one lane-accumulated pass while the stream sums
   // per-day increments, which differ in last ulps at vector levels.
   const epismc::simd::ScopedLevel simd_pin(epismc::simd::SimdLevel::kScalar);
 
-  auto batch_session = make_session(small_config(), simulator);
+  auto batch_session = make_session(cfg, simulator, spec);
   batch_session.run_all();
   ASSERT_EQ(batch_session.results().size(), 2u);
 
-  auto stream_session = make_session(small_config(), simulator);
+  auto stream_session = make_session(cfg, simulator, spec);
   StreamingCalibrator cal = stream_session.stream();
   feed_days(cal, 20, 47);
   ASSERT_TRUE(cal.finished());
@@ -165,6 +168,20 @@ TEST(StreamingCalibrator, BitIdenticalToBatchSeir) {
 
 TEST(StreamingCalibrator, BitIdenticalToBatchChainBinomial) {
   run_bit_exact_comparison("chain-binomial");
+}
+
+TEST(StreamingCalibrator, BitIdenticalToBatchAbm) {
+  // A tenth of the truth's population and half the draws keep the
+  // agent-level run short; identity does not need the model to match the
+  // data's scale.
+  api::SimulatorSpec spec = test_spec();
+  spec.params.population = 20000;
+  spec.initial_exposed = 50;
+  CalibrationConfig cfg = small_config();
+  cfg.n_params = 40;
+  cfg.replicates = 2;
+  cfg.resample_size = 80;
+  run_bit_exact_comparison("abm", spec, cfg);
 }
 
 TEST(StreamingCalibrator, BitIdenticalToBatchTemperedNoMidResample) {

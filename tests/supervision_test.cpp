@@ -354,8 +354,6 @@ TEST(Supervisor, ParallelParentForksSafelyAndChildrenReusePool) {
   // and between spawns -- the supervisor tears workers down ahead of each
   // fork -- and every forked child can bring up its own lanes.
   const int prev_threads = parallel::max_threads();
-  const parallel::PoolBackend prev_backend = parallel::backend();
-  parallel::set_backend(parallel::PoolBackend::kPool);
   parallel::set_threads(4);
 
   // Parent enters a parallel region BEFORE forking anything.
@@ -393,7 +391,6 @@ TEST(Supervisor, ParallelParentForksSafelyAndChildrenReusePool) {
   EXPECT_EQ(after.load(), 512L * 511 / 2);
 
   parallel::set_threads(prev_threads);
-  parallel::set_backend(prev_backend);
 }
 
 TEST(Supervisor, CrashThenSucceedRecordsBackoffAndRecovers) {
