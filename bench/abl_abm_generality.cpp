@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
   std::cout << "\nAll three simulators run through the identical "
-               "SequentialCalibrator; only the Simulator implementation "
+               "calibrator; only the Simulator implementation "
                "differs.\nWrote "
             << (out_dir / "abl_abm_generality.csv").string() << "\n";
   return 0;

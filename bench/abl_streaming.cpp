@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/calibration_config.hpp"
 #include "core/importance_sampler.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "stream/streaming_calibrator.hpp"
 
 namespace {
@@ -122,8 +122,9 @@ int main(int argc, char** argv) {
            ++d) {
         core::WindowSpec spec = core::make_window_spec(cfg, m);
         spec.to_day = d;  // the daily prefix replay
-        window = core::run_importance_window(sim, *likelihood, *bias, data,
-                                             *parents, spec, propose);
+        window = core::run_importance_window(sim, *likelihood, *likelihood,
+                                             *bias, data, *parents, spec,
+                                             propose);
       }
       // The full-window (d == to_day) iteration is the real result.
       draws = std::make_shared<const core::PosteriorDraws>(

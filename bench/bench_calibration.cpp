@@ -166,9 +166,9 @@ int main(int argc, char** argv) {
 
         std::vector<double> samples;
         for (int rep = 0; rep < repeats; ++rep) {
-          core::SequentialCalibrator cal(*sim, observed, cfg);
+          stream::StreamingCalibrator cal(*sim, {.calibration = cfg});
           parallel::Timer timer;
-          cal.run_all();
+          while (!cal.finished()) cal.ingest_window(observed);
           const double seconds = timer.seconds();
           samples.push_back(seconds);
           if (seconds <= *std::min_element(samples.begin(), samples.end())) {
@@ -227,9 +227,9 @@ int main(int argc, char** argv) {
 
       std::vector<double> samples;
       for (int rep = 0; rep < repeats; ++rep) {
-        core::SequentialCalibrator cal(*sim, observed, cfg);
+        stream::StreamingCalibrator cal(*sim, {.calibration = cfg});
         parallel::Timer timer;
-        cal.run_all();
+        while (!cal.finished()) cal.ingest_window(observed);
         samples.push_back(timer.seconds());
       }
       std::sort(samples.begin(), samples.end());

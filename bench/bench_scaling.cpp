@@ -26,9 +26,10 @@
 // at 4 lanes >= --min-scaling; it activates only when hardware_concurrency
 // >= 4 and otherwise prints an explicit skip line -- never a silent pass.
 //
-// The JSON also dumps the work-stealing pool's observability counters
-// (tasks run, steals, steal failures, idle wakeups) accumulated across all
-// cells.
+// Every thread_scaling row also carries the work-stealing pool's
+// observability line for that cell's timed repeats: lane count, live
+// workers, peak concurrently active lanes, and the tasks run, steals, steal
+// failures and idle wakeups the repeats added.
 
 #include <algorithm>
 #include <cstdio>
@@ -63,7 +64,26 @@ struct Cell {
   std::size_t n_sims = 0;
   Timing pass;
   bool bit_identical = false;
+  parallel::PoolStats pool;  // this cell's timed repeats only
 };
+
+/// `after` with its per-lane counters reduced to what accrued since
+/// `before`. Both must be read at the same lane count: the counters are
+/// monotonic per lane while the team stays up.
+parallel::PoolStats stats_since(const parallel::PoolStats& before,
+                                parallel::PoolStats after) {
+  for (std::size_t l = 0; l < std::min(before.lane.size(), after.lane.size());
+       ++l) {
+    const parallel::LaneStats& b = before.lane[l];
+    parallel::LaneStats& a = after.lane[l];
+    a.tasks_run -= b.tasks_run;
+    a.iterations_run -= b.iterations_run;
+    a.steals -= b.steals;
+    a.steal_failures -= b.steal_failures;
+    a.idle_wakeups -= b.idle_wakeups;
+  }
+  return after;
+}
 
 /// Columns mirroring run_importance_window's CRN layout for a fresh window.
 core::EnsembleBuffer make_buffer(std::size_t n_params, std::size_t replicates,
@@ -139,7 +159,6 @@ int main(int argc, char** argv) {
   abm_spec.initial_exposed = std::max<std::int64_t>(abm_population / 200, 10);
   sims.push_back({"abm", abm_spec, std::max<std::size_t>(n_params / 4, 8)});
 
-  parallel::TaskPool::instance().reset_peak();
   std::vector<Cell> cells;
   bool determinism_broken = false;
 
@@ -191,7 +210,12 @@ int main(int argc, char** argv) {
       cell.threads = threads;
       cell.n_sims = buf.size();
       pass();  // warm the workers before timing
+      // Peak and counters cover this cell's repeats alone, read before the
+      // next set_threads call tears the workers down.
+      parallel::TaskPool::instance().reset_peak();
+      const parallel::PoolStats before = parallel::pool_stats();
       cell.pass = time_repeats(repeats, pass);
+      cell.pool = stats_since(before, parallel::pool_stats());
       cell.bit_identical = scores == ref_scores;
       if (!cell.bit_identical) {
         determinism_broken = true;
@@ -202,11 +226,11 @@ int main(int argc, char** argv) {
       cells.push_back(cell);
       std::cout << s.name << " @ " << threads << " lanes: "
                 << cell.pass.min * 1e3 << " ms (median "
-                << cell.pass.median * 1e3 << " ms)\n";
+                << cell.pass.median * 1e3 << " ms); pool "
+                << cell.pool.summary() << "\n";
     }
     parallel::set_threads(machine_threads);
   }
-  const parallel::PoolStats pool_stats = parallel::pool_stats();
 
   const auto seconds_at = [&](const std::string& simulator, int threads) {
     for (const Cell& c : cells) {
@@ -219,7 +243,7 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << "  \"schema\": \"epismc-thread-scaling-v2\",\n"
+      << "  \"schema\": \"epismc-thread-scaling-v3\",\n"
       << "  \"generated_by\": \"bench/bench_scaling\",\n"
       << "  \"workload\": \"propagate+score, paper-baseline single window, "
          "days 20-33\",\n"
@@ -228,8 +252,6 @@ int main(int argc, char** argv) {
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"replicates\": " << replicates << ",\n"
       << "  \"skipped_few_cores\": " << (hc < 4 ? "true" : "false") << ",\n"
-      << "  \"pool_stats\": \"" << bench::json_escape(pool_stats.summary())
-      << "\",\n"
       << "  \"thread_scaling\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
@@ -239,7 +261,9 @@ int main(int argc, char** argv) {
         << "     \"seconds\": " << c.pass.min
         << ", \"seconds_median\": " << c.pass.median
         << ", \"bit_identical\": " << (c.bit_identical ? "true" : "false")
-        << ", \"speedup_vs_1thread\": ";
+        << ",\n     \"pool_stats\": \""
+        << bench::json_escape(c.pool.summary())
+        << "\", \"speedup_vs_1thread\": ";
     if (static_cast<unsigned>(c.threads) > hc) {
       out << "null";
     } else {
@@ -248,8 +272,7 @@ int main(int argc, char** argv) {
     out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-  std::cout << "Wrote " << out_path.string() << "\n"
-            << "pool stats: " << pool_stats.summary() << "\n";
+  std::cout << "Wrote " << out_path.string() << "\n";
 
   bool failed = determinism_broken;
   if (check && min_scaling > 0.0) {

@@ -245,51 +245,60 @@ CalibrationSession& CalibrationSession::with_progress(
   return *this;
 }
 
-void CalibrationSession::build() {
-  if (calibrator_) return;
-  // Validate the staged config (windows, budget, component names) before
-  // simulating any ground truth: a typo'd likelihood must not cost a full
-  // agent-based truth run first. SequentialCalibrator validates again on
-  // construction; the duplicate check is cheap.
-  config_.validate();
-  if (preset_ && !data_) {
-    truth_ = preset_->make_truth();
-    data_ = truth_->observed();
-  }
-  if (!data_) {
-    throw std::logic_error(
-        "CalibrationSession: no data -- call with_scenario() or with_data() "
-        "before running");
-  }
+void CalibrationSession::materialize_simulator() {
+  if (simulator_) return;
+  // Explicit spec override first, then the scenario preset's, then
+  // defaults.
   SimulatorSpec spec = spec_override_ ? *spec_override_
                        : preset_      ? preset_->simulator_spec()
                                       : SimulatorSpec{};
   if (abm_engine_) spec.abm.engine = *abm_engine_;
   simulator_ = simulators().create(simulator_name_, spec);
-  calibrator_ = std::make_unique<core::SequentialCalibrator>(*simulator_,
-                                                             *data_, config_);
-  calibrator_->set_progress(progress_);
+}
+
+void CalibrationSession::build() {
+  if (calibrator_) return;
+  if (!data_) {
+    // Validate the staged config (windows, budget, component names) before
+    // simulating any ground truth: a typo'd likelihood must not cost a full
+    // agent-based truth run first. With user data the calibrator's
+    // constructor is the one validation.
+    config_.validate();
+    if (!preset_) {
+      throw std::logic_error(
+          "CalibrationSession: no data -- call with_scenario() or "
+          "with_data() before running");
+    }
+    truth_ = preset_->make_truth();
+    data_ = truth_->observed();
+  }
+  materialize_simulator();
+  auto calibrator = std::make_unique<stream::StreamingCalibrator>(
+      *simulator_, stream::StreamConfig{.calibration = config_});
+  // The windows are validated (non-empty, contiguous) by now.
+  if (data_->first_day() > config_.windows.front().first ||
+      data_->last_day() < config_.windows.back().second) {
+    throw std::invalid_argument(
+        "CalibrationSession: observed data does not cover the windows");
+  }
+  if (config_.use_deaths && !data_->has_deaths()) {
+    throw std::invalid_argument(
+        "CalibrationSession: use_deaths set but no death series");
+  }
+  calibrator->set_progress(progress_);
+  calibrator_ = std::move(calibrator);
 }
 
 stream::StreamingCalibrator CalibrationSession::stream(StreamOptions options) {
-  config_.validate();
-  if (!simulator_) {
-    // Identical simulator resolution to build(): explicit spec override
-    // first, then the scenario preset's, then defaults.
-    SimulatorSpec spec = spec_override_ ? *spec_override_
-                         : preset_      ? preset_->simulator_spec()
-                                        : SimulatorSpec{};
-    if (abm_engine_) spec.abm.engine = *abm_engine_;
-    simulator_ = simulators().create(simulator_name_, spec);
-  }
+  materialize_simulator();
+  // The constructor validates the config and the checkpoint knobs.
+  stream::StreamingCalibrator calibrator(
+      *simulator_,
+      {.calibration = config_,
+       .checkpoint_every = options.checkpoint_every,
+       .checkpoint_path = std::move(options.checkpoint_path),
+       .resample_mid_window = options.resample_mid_window});
   streamed_ = true;
-  stream::StreamConfig stream_config;
-  stream_config.calibration = config_;
-  stream_config.checkpoint_every = options.checkpoint_every;
-  stream_config.checkpoint_path = std::move(options.checkpoint_path);
-  stream_config.resample_mid_window = options.resample_mid_window;
-  stream::StreamingCalibrator calibrator(*simulator_,
-                                         std::move(stream_config));
   calibrator.set_progress(progress_);
   if (options.resume_latest) calibrator.resume_latest();
   return calibrator;
@@ -359,12 +368,12 @@ supervise::SupervisionReport CalibrationSession::supervised(
 
 const core::WindowResult& CalibrationSession::run_next_window() {
   build();
-  return calibrator_->run_next_window();
+  return calibrator_->ingest_window(*data_);
 }
 
 CalibrationSession& CalibrationSession::run_all() {
   build();
-  calibrator_->run_all();
+  while (!calibrator_->finished()) calibrator_->ingest_window(*data_);
   return *this;
 }
 
@@ -373,7 +382,7 @@ bool CalibrationSession::finished() {
   return calibrator_->finished();
 }
 
-core::SequentialCalibrator& CalibrationSession::calibrator() {
+stream::StreamingCalibrator& CalibrationSession::calibrator() {
   build();
   return *calibrator_;
 }

@@ -4,7 +4,8 @@
 //
 // A session owns the whole wiring that call sites used to assemble by hand
 // -- simulator backend, ground-truth scenario (or user data), calibration
-// config, and the SequentialCalibrator -- behind registry names:
+// config, and the stream::StreamingCalibrator that runs the windows --
+// behind registry names:
 //
 //   auto session = api::CalibrationSession()
 //                      .with_simulator("seir-event")
@@ -21,8 +22,9 @@
 // a session is one run, not a mutable sweep (ScenarioSweep does sweeps).
 //
 // Wiring is value-identical to hand construction: a session with the same
-// config and seed reproduces a hand-wired SequentialCalibrator bit for bit
-// (api_session_test locks this in).
+// config and seed reproduces a hand-wired StreamingCalibrator fed whole
+// windows through ingest_window bit for bit (api_session_test locks this
+// in).
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +38,6 @@
 #include "core/data.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "core/simulator.hpp"
 #include "stream/streaming_calibrator.hpp"
 #include "supervise/supervisor.hpp"
@@ -159,7 +160,9 @@ class CalibrationSession {
   [[nodiscard]] bool finished();
 
   // --- Results and introspection. ------------------------------------------
-  [[nodiscard]] core::SequentialCalibrator& calibrator();
+  /// The calibrator behind run_next_window/run_all: whole windows go
+  /// through its ingest_window against the session's data.
+  [[nodiscard]] stream::StreamingCalibrator& calibrator();
   [[nodiscard]] const core::Simulator& simulator();
   [[nodiscard]] const core::CalibrationConfig& config() const noexcept {
     return config_;
@@ -197,6 +200,7 @@ class CalibrationSession {
  private:
   void require_unbuilt(const char* call) const;
   void build();  // idempotent
+  void materialize_simulator();  // idempotent; shared by build and stream
 
   std::string simulator_name_ = "seir-event";
   std::optional<SimulatorSpec> spec_override_;
@@ -206,7 +210,7 @@ class CalibrationSession {
   std::optional<core::ObservedData> data_;
   core::CalibrationConfig config_;
   std::unique_ptr<core::Simulator> simulator_;
-  std::unique_ptr<core::SequentialCalibrator> calibrator_;
+  std::unique_ptr<stream::StreamingCalibrator> calibrator_;
   core::ProgressReporter progress_;
   bool streamed_ = false;
 };

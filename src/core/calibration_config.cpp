@@ -1,9 +1,8 @@
-#include "core/sequential_calibrator.hpp"
+#include "core/calibration_config.hpp"
 
 #include <stdexcept>
 
 #include "api/components.hpp"
-#include "fault/fault.hpp"
 #include "random/engines.hpp"
 
 namespace epismc::core {
@@ -147,86 +146,6 @@ WindowSpec make_window_spec(const CalibrationConfig& config, std::size_t m) {
   spec.rejuvenation_moves = config.rejuvenation_moves;
   spec.on_degenerate = config.on_degenerate;
   return spec;
-}
-
-SequentialCalibrator::SequentialCalibrator(const Simulator& sim,
-                                           ObservedData data,
-                                           CalibrationConfig config)
-    : sim_(sim), data_(std::move(data)), config_(std::move(config)) {
-  config_.validate();
-  // The window count is fixed, so reserving keeps WindowResult references
-  // returned by run_next_window stable across later windows.
-  results_.reserve(config_.windows.size());
-  likelihood_ =
-      make_likelihood(config_.likelihood_name, config_.likelihood_parameter);
-  death_likelihood_ = make_likelihood(config_.death_likelihood_name,
-                                      config_.death_likelihood_parameter);
-  bias_ = make_bias_model(config_.bias_name);
-
-  const auto [first_from, first_to] = config_.windows.front();
-  const auto [last_from, last_to] = config_.windows.back();
-  if (data_.first_day() > first_from || data_.last_day() < last_to) {
-    throw std::invalid_argument(
-        "SequentialCalibrator: observed data does not cover the windows");
-  }
-  if (config_.use_deaths && !data_.has_deaths()) {
-    throw std::invalid_argument(
-        "SequentialCalibrator: use_deaths set but no death series");
-  }
-}
-
-const epi::Checkpoint& SequentialCalibrator::initial_state() const {
-  if (!initial_pool_ || initial_pool_->empty()) {
-    throw std::logic_error("SequentialCalibrator: no window has run yet");
-  }
-  return initial_ckpt_;
-}
-
-const WindowResult& SequentialCalibrator::run_next_window() {
-  const std::size_t m = results_.size();
-  if (m >= config_.windows.size()) {
-    throw std::logic_error("SequentialCalibrator: all windows already run");
-  }
-  const WindowSpec spec = make_window_spec(config_, m);
-  const bool needs_rho = bias_->uses_rho();
-
-  if (m == 0) {
-    // Shared initial state; with the default burnin_day = 0 every particle
-    // simulates its own early path and only the seeding is shared. The
-    // checkpoint crosses the io boundary exactly once, into the pool.
-    initial_ckpt_ = sim_.initial_state(
-        config_.burnin_day, rng::hash_combine(config_.seed, 0x494E4954ull));
-    initial_pool_ = sim_.make_pool();
-    initial_pool_->append_checkpoint(initial_ckpt_);
-
-    results_.push_back(run_importance_window(
-        sim_, *likelihood_, *death_likelihood_, *bias_, data_, *initial_pool_,
-        spec, make_prior_proposal(config_, needs_rho)));
-    fault::hit("window-boundary");
-    progress_.beat();
-    return results_.back();
-  }
-
-  // Later windows: posterior draws of window m-1 are the proposal centers,
-  // and their pooled end states are the restart points -- live typed
-  // states, never re-parsed from bytes.
-  const WindowResult& prev = results_[m - 1];
-  if (!prev.state_pool || prev.state_pool->empty()) {
-    throw std::logic_error("SequentialCalibrator: previous window kept no states");
-  }
-  const ParamProposal propose = make_posterior_proposal(
-      config_, std::make_shared<PosteriorDraws>(PosteriorDraws::from_window(prev)),
-      needs_rho);
-  results_.push_back(run_importance_window(sim_, *likelihood_,
-                                           *death_likelihood_, *bias_, data_,
-                                           *prev.state_pool, spec, propose));
-  fault::hit("window-boundary");
-  progress_.beat();
-  return results_.back();
-}
-
-void SequentialCalibrator::run_all() {
-  while (!finished()) run_next_window();
 }
 
 }  // namespace epismc::core

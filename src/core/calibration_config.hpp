@@ -1,6 +1,7 @@
 #pragma once
 
-// Sequential calibration across time windows (paper §IV-C).
+// Configuration of a sequential calibration across time windows (paper
+// §IV-C) and the pieces that chain one window into the next.
 //
 // Window 1 draws (theta, rho) from fixed priors and weights trajectories
 // branched from a shared burn-in checkpoint. Every later window m uses the
@@ -8,7 +9,8 @@
 // a uniform kernel (symmetric for theta, asymmetric/upward for rho) and the
 // simulation restarts from that draw's *checkpointed end state*, never from
 // day zero. This is the paper's computational-savings mechanism: window m
-// costs O(window length), not O(t_m).
+// costs O(window length), not O(t_m). stream::StreamingCalibrator drives
+// the chain, a whole window or a single day at a time.
 
 #include <cstdint>
 #include <memory>
@@ -22,7 +24,6 @@
 #include "core/likelihood.hpp"
 #include "core/particle.hpp"
 #include "core/prior.hpp"
-#include "core/progress.hpp"
 #include "core/simulator.hpp"
 
 namespace epismc::core {
@@ -134,54 +135,10 @@ struct PosteriorDraws {
     std::shared_ptr<const PosteriorDraws> draws, bool needs_rho);
 
 /// The WindowSpec of window m under a calibration config -- the single
-/// mapping both the batch and the streaming calibrators use, so their
-/// windows share every knob and the per-window seed hash_combine(seed, m).
+/// mapping behind both of StreamingCalibrator's cadences (whole windows
+/// and single days), so they share every knob and the per-window seed
+/// hash_combine(seed, m).
 [[nodiscard]] WindowSpec make_window_spec(const CalibrationConfig& config,
                                           std::size_t m);
-
-class SequentialCalibrator {
- public:
-  SequentialCalibrator(const Simulator& sim, ObservedData data,
-                       CalibrationConfig config);
-
-  /// Calibrate the next window; returns its result.
-  const WindowResult& run_next_window();
-
-  /// Calibrate all remaining windows.
-  void run_all();
-
-  [[nodiscard]] const std::vector<WindowResult>& results() const noexcept {
-    return results_;
-  }
-  [[nodiscard]] std::size_t windows_completed() const noexcept {
-    return results_.size();
-  }
-  [[nodiscard]] bool finished() const noexcept {
-    return results_.size() == config_.windows.size();
-  }
-  [[nodiscard]] const CalibrationConfig& config() const noexcept {
-    return config_;
-  }
-  /// Shared burn-in checkpoint (valid after the first window has run).
-  [[nodiscard]] const epi::Checkpoint& initial_state() const;
-
-  /// Liveness hook, beaten once after every completed window (the
-  /// supervision layer's stall detector rides this; see core/progress.hpp).
-  void set_progress(ProgressReporter progress) {
-    progress_ = std::move(progress);
-  }
-
- private:
-  const Simulator& sim_;
-  ObservedData data_;
-  CalibrationConfig config_;
-  std::unique_ptr<Likelihood> likelihood_;
-  std::unique_ptr<Likelihood> death_likelihood_;
-  std::unique_ptr<BiasModel> bias_;
-  epi::Checkpoint initial_ckpt_;           // io-boundary copy (initial_state())
-  std::shared_ptr<StatePool> initial_pool_;  // pooled shared burn-in state
-  std::vector<WindowResult> results_;
-  ProgressReporter progress_;
-};
 
 }  // namespace epismc::core

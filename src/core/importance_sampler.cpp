@@ -634,20 +634,4 @@ WindowResult run_importance_window(const Simulator& sim,
   return result;
 }
 
-WindowResult run_importance_window(const Simulator& sim,
-                                   const Likelihood& case_likelihood,
-                                   const Likelihood& death_likelihood,
-                                   const BiasModel& bias,
-                                   const ObservedData& data,
-                                   std::span<const epi::Checkpoint> parents,
-                                   const WindowSpec& spec,
-                                   const ParamProposal& propose) {
-  const std::shared_ptr<StatePool> pool = sim.make_pool();
-  for (const epi::Checkpoint& parent : parents) {
-    pool->append_checkpoint(parent);
-  }
-  return run_importance_window(sim, case_likelihood, death_likelihood, bias,
-                               data, *pool, spec, propose);
-}
-
 }  // namespace epismc::core

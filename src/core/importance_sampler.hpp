@@ -141,36 +141,6 @@ struct WindowSpec {
     const ObservedData& data, const StatePool& parents, const WindowSpec& spec,
     const ParamProposal& propose);
 
-/// io-boundary overload: parent states arrive as portable checkpoints and
-/// are pooled through the simulator's typed converter before the window
-/// runs (one parse per parent).
-[[nodiscard]] WindowResult run_importance_window(
-    const Simulator& sim, const Likelihood& case_likelihood,
-    const Likelihood& death_likelihood, const BiasModel& bias,
-    const ObservedData& data, std::span<const epi::Checkpoint> parents,
-    const WindowSpec& spec, const ParamProposal& propose);
-
-/// Convenience overload: one error model for both streams. The forwarded
-/// call validates the spec against the data up front, so a deaths-enabled
-/// spec over case-only data fails with a precise message rather than deep
-/// in the window loop.
-[[nodiscard]] inline WindowResult run_importance_window(
-    const Simulator& sim, const Likelihood& likelihood, const BiasModel& bias,
-    const ObservedData& data, std::span<const epi::Checkpoint> parents,
-    const WindowSpec& spec, const ParamProposal& propose) {
-  return run_importance_window(sim, likelihood, likelihood, bias, data,
-                               parents, spec, propose);
-}
-
-/// Pool-parent variant of the single-error-model convenience overload.
-[[nodiscard]] inline WindowResult run_importance_window(
-    const Simulator& sim, const Likelihood& likelihood, const BiasModel& bias,
-    const ObservedData& data, const StatePool& parents, const WindowSpec& spec,
-    const ParamProposal& propose) {
-  return run_importance_window(sim, likelihood, likelihood, bias, data,
-                               parents, spec, propose);
-}
-
 namespace detail {
 
 // --- Shared window internals (the streaming calibrator reuses these). ------

@@ -5,11 +5,12 @@
 // A supervised deployment needs to distinguish "still grinding through an
 // expensive window" from "wedged": the drivers cannot know how long a
 // window *should* take, but they do know when they cross a progress
-// boundary. A ProgressReporter is the single hook the three long-running
-// drivers beat at their natural cadence:
+// boundary. A ProgressReporter is the single hook the long-running
+// calibration loops beat at their natural cadence:
 //
-//   SequentialCalibrator   after every completed window
-//   StreamingCalibrator    after every assimilated day
+//   StreamingCalibrator    after every whole window (ingest_window, which
+//                          CalibrationSession::run_* uses) and after every
+//                          assimilated day (ingest)
 //   ScenarioSweep          per window of every cell (via the cell session)
 //
 // supervise::Supervisor wires the hook to a heartbeat pipe so a child that

@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "core/calibration_config.hpp"
 #include "core/particle.hpp"
 #include "core/posterior.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "epi/seir_model.hpp"
 #include "io/binary_archive.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -25,6 +26,18 @@ namespace {
 constexpr std::uint64_t kStreamResampleTag = 0x53545253ull;  // "STRS"
 constexpr std::uint64_t kStreamModelTag = 0x53544D44ull;     // "STMD"
 constexpr std::uint64_t kStreamBiasTag = 0x53544249ull;      // "STBI"
+
+// Seed tag of the shared burn-in state.
+constexpr std::uint64_t kInitialStateTag = 0x494E4954ull;  // "INIT"
+
+/// A fresh pool of `sim` holding `states` in order (the io boundary of a
+/// burn-in checkpoint or a restored archive).
+std::shared_ptr<core::StatePool> pool_of(
+    const core::Simulator& sim, std::span<const epi::Checkpoint> states) {
+  std::shared_ptr<core::StatePool> pool = sim.make_pool();
+  for (const epi::Checkpoint& state : states) pool->append_checkpoint(state);
+  return pool;
+}
 
 }  // namespace
 
@@ -55,6 +68,43 @@ std::int32_t StreamingCalibrator::last_assimilated_day() const {
         "StreamingCalibrator::last_assimilated_day: no day assimilated yet");
   }
   return cursor_;
+}
+
+const epi::Checkpoint& StreamingCalibrator::initial_state() const {
+  if (!has_initial_) {
+    throw std::logic_error(
+        "StreamingCalibrator::initial_state: no window has opened yet");
+  }
+  return initial_ckpt_;
+}
+
+const core::WindowResult& StreamingCalibrator::ingest_window(
+    const core::ObservedData& data) {
+  if (finished()) {
+    throw std::logic_error(
+        "StreamingCalibrator::ingest_window: all " +
+        std::to_string(config_.calibration.windows.size()) +
+        " windows are assimilated");
+  }
+  if (window_open_) {
+    throw std::logic_error(
+        "StreamingCalibrator::ingest_window: window " +
+        std::to_string(window_index_) + " is open (next expected day " +
+        std::to_string(next_expected_day()) +
+        "); a whole window can only start at a window boundary");
+  }
+  begin_window();
+  core::WindowResult result = core::run_importance_window(
+      sim_, *likelihood_, *death_likelihood_, *bias_, data, *parents_, spec_,
+      propose_);
+  fault::hit("window-boundary");
+  cursor_ = spec_.to_day;
+  any_assimilated_ = true;
+  commit_window(std::move(result));
+  maybe_checkpoint(
+      static_cast<std::uint64_t>(spec_.to_day - spec_.from_day + 1));
+  progress_.beat();
+  return results_.back();
 }
 
 const StreamDayRecord& StreamingCalibrator::ingest(
@@ -91,30 +141,37 @@ const StreamDayRecord& StreamingCalibrator::ingest(
   cursor_ = obs.day;
   any_assimilated_ = true;
   if (cursor_ == spec_.to_day) finalize_window();
-  maybe_checkpoint();
+  maybe_checkpoint(1);
   progress_.beat();
   return days_.back();
 }
 
-void StreamingCalibrator::open_window() {
+void StreamingCalibrator::begin_window() {
   const core::CalibrationConfig& cal = config_.calibration;
-  const std::size_t m = window_index_;
-  spec_ = core::make_window_spec(cal, m);
-  const std::size_t n = n_sims();
-
-  if (m == 0) {
-    // Shared burn-in state, same identity as SequentialCalibrator's.
+  spec_ = core::make_window_spec(cal, window_index_);
+  if (window_index_ == 0) {
+    // Shared burn-in state; with the default burnin_day = 0 every particle
+    // simulates its own early path and only the seeding is shared.
     initial_ckpt_ = sim_.initial_state(
-        cal.burnin_day, rng::hash_combine(cal.seed, 0x494E4954ull));
+        cal.burnin_day, rng::hash_combine(cal.seed, kInitialStateTag));
     has_initial_ = true;
-    auto pool = sim_.make_pool();
-    pool->resize(1);
-    pool->set_from_checkpoint(0, initial_ckpt_);
-    parents_ = std::move(pool);
-    propose_ = core::make_prior_proposal(cal, needs_rho_);
-  } else {
-    propose_ = core::make_posterior_proposal(cal, prev_draws_, needs_rho_);
+    parents_ = pool_of(sim_, {&initial_ckpt_, 1});
   }
+  propose_ = window_proposal();
+}
+
+core::ParamProposal StreamingCalibrator::window_proposal() const {
+  // Window 1 draws from the priors; later windows jitter the previous
+  // posterior's draws, restarting from their pooled end states.
+  const core::CalibrationConfig& cal = config_.calibration;
+  return window_index_ == 0
+             ? core::make_prior_proposal(cal, needs_rho_)
+             : core::make_posterior_proposal(cal, prev_draws_, needs_rho_);
+}
+
+void StreamingCalibrator::open_window() {
+  begin_window();
+  const std::size_t n = n_sims();
 
   const auto window_len =
       static_cast<std::size_t>(spec_.to_day - spec_.from_day + 1);
@@ -412,7 +469,10 @@ void StreamingCalibrator::finalize_window() {
   if (midwindow_resamples_ > 0) {
     result.diag.log_marginal += log_marginal_acc_;
   }
+  commit_window(std::move(result));
+}
 
+void StreamingCalibrator::commit_window(core::WindowResult result) {
   StreamWindowRecord rec;
   rec.from_day = spec_.from_day;
   rec.to_day = spec_.to_day;
@@ -443,19 +503,13 @@ void StreamingCalibrator::close_window_members() {
   propagate_seconds_ = 0.0;
 }
 
-void StreamingCalibrator::maybe_checkpoint() {
+void StreamingCalibrator::maybe_checkpoint(std::uint64_t days) {
   if (config_.checkpoint_every <= 0) return;
-  ++days_since_checkpoint_;
-  if (days_since_checkpoint_ <
+  days_since_checkpoint_ += days;
+  if (days_since_checkpoint_ >=
       static_cast<std::uint64_t>(config_.checkpoint_every)) {
-    return;
+    checkpoint_now();
   }
-  // Reset before snapshotting so the archive does not re-trigger a
-  // checkpoint on the first post-resume ingest.
-  days_since_checkpoint_ = 0;
-  io::BinaryWriter out(StreamState::kArchiveVersion);
-  snapshot().serialize(out);
-  io::CheckpointRotation(config_.checkpoint_path).save_next(out);
 }
 
 void StreamingCalibrator::checkpoint_now() {
@@ -463,6 +517,8 @@ void StreamingCalibrator::checkpoint_now() {
     throw std::logic_error(
         "StreamingCalibrator::checkpoint_now: no checkpoint_path configured");
   }
+  // Reset before snapshotting so the archive does not re-trigger a
+  // checkpoint on the first post-resume ingest.
   days_since_checkpoint_ = 0;
   io::BinaryWriter out(StreamState::kArchiveVersion);
   snapshot().serialize(out);
@@ -574,28 +630,16 @@ void StreamingCalibrator::restore(const StreamState& state) {
 
   parents_.reset();
   if (state.has_posterior) {
-    auto pool = sim_.make_pool();
-    pool->resize(state.parent_pool.size());
-    for (std::size_t p = 0; p < state.parent_pool.size(); ++p) {
-      pool->set_from_checkpoint(p, state.parent_pool[p]);
-    }
-    parents_ = std::move(pool);
+    parents_ = pool_of(sim_, state.parent_pool);
   } else if (has_initial_) {
-    auto pool = sim_.make_pool();
-    pool->resize(1);
-    pool->set_from_checkpoint(0, initial_ckpt_);
-    parents_ = std::move(pool);
+    parents_ = pool_of(sim_, {&initial_ckpt_, 1});
   }
 
   close_window_members();
   if (!state.window_open) return;
 
-  const core::CalibrationConfig& cal = config_.calibration;
-  spec_ = core::make_window_spec(cal, window_index_);
-  propose_ = window_index_ == 0
-                 ? core::make_prior_proposal(cal, needs_rho_)
-                 : core::make_posterior_proposal(cal, prev_draws_,
-                                                 needs_rho_);
+  spec_ = core::make_window_spec(config_.calibration, window_index_);
+  propose_ = window_proposal();
 
   const std::size_t n = n_sims();
   if (state.n_sims != n) {
@@ -634,11 +678,7 @@ void StreamingCalibrator::restore(const StreamState& state) {
   day_ens_.seed = win_ens_.seed;
   day_ens_.stream = win_ens_.stream;
 
-  cloud_ = sim_.make_pool();
-  cloud_->resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    cloud_->set_from_checkpoint(s, state.cloud[s]);
-  }
+  cloud_ = pool_of(sim_, state.cloud);
 
   win_obs_cases_ = state.obs_cases;
   win_obs_deaths_ = state.obs_deaths;

@@ -1,41 +1,47 @@
 #pragma once
 
-// Online streaming calibration: assimilate surveillance counts one day at
-// a time instead of replaying whole windows.
+// Sequential SMC calibration (paper §IV-C), fed a whole window or a
+// single day at a time.
 //
-// The batch SequentialCalibrator scores a window only once all of its days
-// are known. A StreamingCalibrator is the long-lived counterpart for live
-// surveillance feeds: each ingest() advances every particle's *live* model
-// state exactly one day through the fused batch kernel (no window replay
-// -- Simulator::advance_batch continues each model's own RNG engine in
-// place), applies the reporting bias through a per-sim engine persisted
-// across days, folds the day's likelihood term into per-sim accumulators,
-// and re-commits the particle weights. At a window boundary the
-// accumulated ensemble is handed to the *batch* post-scoring pipeline
-// (core::detail::resolve_window_posterior -- normalize, strategy dispatch,
-// survivor compaction, rejuvenation), so the streaming path re-uses the
-// PR-5 inference machinery rather than re-implementing it.
+// A StreamingCalibrator runs the whole window chain: each window's
+// posterior draws and end states seed the next. Two cadences feed it,
+// and they may alternate at window boundaries:
+//
+//   - ingest_window() runs the next whole window through one
+//     core::run_importance_window call (the paper workload, every
+//     CalibrationSession::run_* call and every sweep cell). It keeps the
+//     batch capture policy, deferred replay included.
+//   - ingest() assimilates one surveillance day: it advances every
+//     particle's *live* model state exactly one day through the fused
+//     batch kernel (Simulator::advance_batch continues each model's own
+//     RNG engine in place), applies the reporting bias through a per-sim
+//     engine persisted across days, folds the day's likelihood term into
+//     per-sim accumulators, and re-commits the particle weights. At the
+//     window's last day the accumulated ensemble goes through the batch
+//     post-scoring pipeline (core::detail::resolve_window_posterior --
+//     normalize, strategy dispatch, survivor compaction, rejuvenation).
 //
 // Equivalence contract (locked in by tests/stream_calibrator_test.cpp):
-// with mid-window resampling off (or never triggered), streaming days
-// [from, to] is *bit-identical* to run_importance_window over the same
-// window -- same proposal engines, same model streams, same bias draws,
-// same left-to-right likelihood fold, same resample engine. With
-// mid-window resamples the posterior is distribution-equivalent
-// (paired-seed moment bound), which is the point: the cloud is steered
-// toward the data mid-window instead of degenerating at the boundary.
+// with mid-window resampling off (or never triggered), ingesting days
+// [from, to] is *bit-identical* to ingest_window over the same window --
+// same proposal engines, same model streams, same bias draws, same
+// left-to-right likelihood fold, same resample engine. With mid-window
+// resamples the posterior is distribution-equivalent (paired-seed moment
+// bound), which is the point: the cloud is steered toward the data
+// mid-window instead of degenerating at the boundary.
 //
 // The whole session serializes to a versioned StreamState archive
 // (snapshot()/save()); restore()/load() resumes bit-exactly on another
-// process, mid-window included.
+// process, at a window boundary or mid-window.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/calibration_config.hpp"
 #include "core/particle_system.hpp"
-#include "core/sequential_calibrator.hpp"
+#include "core/progress.hpp"
 #include "io/checkpoint_rotation.hpp"
 #include "stream/stream_state.hpp"
 
@@ -47,6 +53,15 @@ class StreamingCalibrator {
   /// likelihood/bias components eagerly. `sim` must outlive the
   /// calibrator.
   StreamingCalibrator(const core::Simulator& sim, StreamConfig config);
+
+  /// Calibrate the next whole window against `data` (which must cover it,
+  /// and carry deaths under use_deaths) in one run_importance_window call,
+  /// bit-identical to assimilating its days one by one without mid-window
+  /// resampling. Only valid at a window boundary: throws std::logic_error
+  /// while a daily window is open or once all windows are assimilated.
+  /// Fires the window-boundary fault point and the progress beat once.
+  /// The returned reference stays valid until restore() or destruction.
+  const core::WindowResult& ingest_window(const core::ObservedData& data);
 
   /// Assimilate one day of observations. Days must arrive contiguously,
   /// starting at the first window's first day; throws std::logic_error
@@ -87,7 +102,8 @@ class StreamingCalibrator {
       const noexcept {
     return history_;
   }
-  /// Per-day assimilation records over the whole session.
+  /// Per-day assimilation records over the whole session (whole windows
+  /// add none).
   [[nodiscard]] const std::vector<StreamDayRecord>& day_records()
       const noexcept {
     return days_;
@@ -127,19 +143,27 @@ class StreamingCalibrator {
     return last_recovery_;
   }
 
+  /// Shared burn-in checkpoint; throws std::logic_error until the first
+  /// window has opened.
+  [[nodiscard]] const epi::Checkpoint& initial_state() const;
+
   /// Liveness hook, beaten once per assimilated day (after any window
-  /// finalization and checkpoint for that day). See core/progress.hpp.
+  /// finalization and checkpoint for that day) and once per whole window.
+  /// See core/progress.hpp.
   void set_progress(core::ProgressReporter progress) {
     progress_ = std::move(progress);
   }
 
  private:
+  void begin_window();
+  [[nodiscard]] core::ParamProposal window_proposal() const;
   void open_window();
   void assimilate_day(const DailyObservation& obs);
   void resample_cloud(std::int32_t day);
   void finalize_window();
+  void commit_window(core::WindowResult result);
   void close_window_members();
-  void maybe_checkpoint();
+  void maybe_checkpoint(std::uint64_t days);
   [[nodiscard]] std::size_t n_sims() const noexcept {
     return config_.calibration.n_params * config_.calibration.replicates;
   }

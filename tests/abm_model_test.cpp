@@ -12,7 +12,7 @@
 #include "abm/abm_simulator.hpp"
 #include "abm/agent_model.hpp"
 #include "core/posterior.hpp"
-#include "core/sequential_calibrator.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -242,8 +242,9 @@ TEST(AbmSimulator, ImplementsTheSimulatorContract) {
 }
 
 TEST(AbmSimulator, CalibratesWithTheSameSmcCore) {
-  // End-to-end: ABM ground truth -> ABM calibration through the untouched
-  // SequentialCalibrator. The posterior must concentrate near the truth.
+  // End-to-end: ABM ground truth -> ABM calibration through the same
+  // calibrator the compartmental backends use. The posterior must
+  // concentrate near the truth.
   abm::AbmSimulatorConfig cfg;
   cfg.abm.disease.population = 20000;
   cfg.initial_exposed = 60;
@@ -269,9 +270,8 @@ TEST(AbmSimulator, CalibratesWithTheSameSmcCore) {
   config.replicates = 4;
   config.resample_size = 200;
   config.seed = 31;
-  core::SequentialCalibrator cal(sim, core::ObservedData(1, observed, {}),
-                                 config);
-  const auto& w = cal.run_next_window();
+  stream::StreamingCalibrator cal(sim, {.calibration = config});
+  const auto& w = cal.ingest_window(core::ObservedData(1, observed, {}));
   const auto s = core::summarize_window(w);
   EXPECT_NEAR(s.theta.mean, theta_true, 0.07);
   EXPECT_LT(s.theta.sd, 0.06);

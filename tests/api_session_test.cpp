@@ -8,7 +8,7 @@
 #include "api/api.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -42,8 +42,8 @@ TEST(Session, MatchesHandWiredPipelineBitForBit) {
   // Hand-wired: the pre-facade construction pattern.
   const SeirSimulator sim(
       EpiSimulatorConfig{scenario.params, 0.3, scenario.initial_exposed});
-  SequentialCalibrator direct(sim, truth.observed(), small_config());
-  direct.run_all();
+  stream::StreamingCalibrator direct(sim, {.calibration = small_config()});
+  while (!direct.finished()) direct.ingest_window(truth.observed());
 
   // Facade: same pieces by name.
   api::SimulatorSpec spec;
@@ -145,8 +145,8 @@ TEST(Session, UnknownComponentNamesFailFast) {
 
   api::ScenarioPreset preset = api::scenarios().create("paper-baseline");
   preset.scenario.total_days = 40;
-  // Unknown likelihood: caught by CalibrationConfig::validate() inside the
-  // calibrator constructor, before any window runs.
+  // Unknown likelihood: caught by CalibrationConfig::validate() when the
+  // session materializes, before any window runs.
   api::CalibrationSession session2;
   session2.with_scenario(preset).with_likelihood("not-a-likelihood", 1.0);
   EXPECT_THROW((void)session2.calibrator(), std::invalid_argument);

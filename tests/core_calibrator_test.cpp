@@ -10,8 +10,8 @@
 #include "api/api.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "simd/simd.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -82,8 +82,8 @@ TEST(Calibrator, WindowsRestartFromCheckpoints) {
   auto session = test_session(truth, scenario, small_config());
 
   // Holding this reference across the next run_next_window call is safe:
-  // SequentialCalibrator reserves its results vector for the full window
-  // count, so WindowResults never move (this loop exercises exactly that).
+  // the calibrator reserves its results vector for the full window count,
+  // so WindowResults never move (this loop exercises exactly that).
   const WindowResult& w1 = session.run_next_window();
   // All first-window end states sit at the window boundary...
   ASSERT_TRUE(w1.state_pool);
@@ -149,7 +149,8 @@ TEST(Calibrator, ReproducibleAcrossRuns) {
 
 TEST(Calibrator, SessionMatchesHandWiredCalibrator) {
   // The facade adds no randomness of its own: a CalibrationSession and a
-  // hand-constructed SequentialCalibrator produce identical posteriors.
+  // hand-constructed calibrator fed whole windows produce identical
+  // posteriors.
   const ScenarioConfig scenario = test_scenario();
   const GroundTruth truth = simulate_ground_truth(scenario);
 
@@ -158,8 +159,8 @@ TEST(Calibrator, SessionMatchesHandWiredCalibrator) {
 
   const SeirSimulator sim(
       EpiSimulatorConfig{scenario.params, 0.3, scenario.initial_exposed});
-  SequentialCalibrator direct(sim, truth.observed(), small_config());
-  direct.run_all();
+  stream::StreamingCalibrator direct(sim, {.calibration = small_config()});
+  while (!direct.finished()) direct.ingest_window(truth.observed());
 
   for (std::size_t m = 0; m < 2; ++m) {
     EXPECT_EQ(session.results()[m].posterior_thetas(),

@@ -23,7 +23,6 @@
 #include "api/api.hpp"
 #include "core/importance_sampler.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "io/binary_archive.hpp"
 #include "stream/stream_state.hpp"
 #include "stream/streaming_calibrator.hpp"
@@ -119,10 +118,10 @@ const CleanRun& clean_run() {
     const Fixture fx;
     const GaussianSqrtLikelihood lik(1.0);
     const BinomialBias bias;
-    const std::vector<epi::Checkpoint> parents = {
-        fx.simulator.initial_state(19, 7)};
-    CleanRun r{run_importance_window(fx.simulator, lik, bias,
-                                     fx.truth.observed(), parents,
+    const auto parents = fx.simulator.make_pool();
+    parents->append_checkpoint(fx.simulator.initial_state(19, 7));
+    CleanRun r{run_importance_window(fx.simulator, lik, lik, bias,
+                                     fx.truth.observed(), *parents,
                                      small_spec(), prior_proposal())};
     std::vector<double> peaks(r.result.n_sims());
     for (std::size_t s = 0; s < peaks.size(); ++s) {
@@ -150,12 +149,12 @@ TEST(Degeneracy, QuarantineDemotesExactlyThePredictedDraws) {
   const Fixture fx;
   const ThresholdPoisonLikelihood lik(clean.threshold, kNan);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
 
   const WindowResult result =
-      run_importance_window(fx.simulator, lik, bias, fx.truth.observed(),
-                            parents, small_spec(), prior_proposal());
+      run_importance_window(fx.simulator, lik, lik, bias, fx.truth.observed(),
+                            *parents, small_spec(), prior_proposal());
 
   // The report names exactly the draws whose CRN trajectory crosses the
   // threshold, in ascending order.
@@ -185,12 +184,12 @@ TEST(Degeneracy, LegitimateNegInfIsNotCountedDegenerate) {
   const Fixture fx;
   const ThresholdPoisonLikelihood lik(clean.threshold, kNegInf);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
 
   const WindowResult result =
-      run_importance_window(fx.simulator, lik, bias, fx.truth.observed(),
-                            parents, small_spec(), prior_proposal());
+      run_importance_window(fx.simulator, lik, lik, bias, fx.truth.observed(),
+                            *parents, small_spec(), prior_proposal());
 
   EXPECT_FALSE(result.smc.degeneracy.any());
   EXPECT_EQ(result.smc.degeneracy.demoted, 0u);
@@ -205,14 +204,15 @@ TEST(Degeneracy, ThrowPolicyRaisesNamingWindowAndDraws) {
   const Fixture fx;
   const ThresholdPoisonLikelihood lik(clean.threshold, kNan);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
   WindowSpec spec = small_spec();
   spec.on_degenerate = DegeneracyPolicy::kThrow;
 
   try {
-    (void)run_importance_window(fx.simulator, lik, bias, fx.truth.observed(),
-                                parents, spec, prior_proposal());
+    (void)run_importance_window(fx.simulator, lik, lik, bias,
+                                fx.truth.observed(), *parents, spec,
+                                prior_proposal());
     FAIL() << "kThrow let a degenerate window through";
   } catch (const CalibrationError& e) {
     const std::string what = e.what();
@@ -233,12 +233,13 @@ TEST(Degeneracy, AllDegenerateWindowIsTypedCalibrationError) {
   const Fixture fx;
   const ThresholdPoisonLikelihood lik(-1.0, kNan);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
 
   try {
-    (void)run_importance_window(fx.simulator, lik, bias, fx.truth.observed(),
-                                parents, small_spec(), prior_proposal());
+    (void)run_importance_window(fx.simulator, lik, lik, bias,
+                                fx.truth.observed(), *parents, small_spec(),
+                                prior_proposal());
     FAIL() << "all-degenerate window produced a posterior";
   } catch (const CalibrationError& e) {
     EXPECT_NE(std::string(e.what()).find("quarantined"), std::string::npos)
@@ -247,8 +248,8 @@ TEST(Degeneracy, AllDegenerateWindowIsTypedCalibrationError) {
 
   WindowSpec spec = small_spec();
   spec.on_degenerate = DegeneracyPolicy::kThrow;
-  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, bias,
-                                           fx.truth.observed(), parents, spec,
+  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, lik, bias,
+                                           fx.truth.observed(), *parents, spec,
                                            prior_proposal()),
                CalibrationError);
 }

@@ -101,10 +101,12 @@ TEST(EnsembleGolden, BitIdenticalToPreRefactorPerSimPath) {
   spec.seed = 4242;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {sim.initial_state(0, 7)};
+  const auto parents = sim.make_pool();
+  parents->append_checkpoint(sim.initial_state(0, 7));
 
   const WindowResult r = run_importance_window(
-      sim, lik, bias, truth.observed(), parents, spec, prior_proposal());
+      sim, lik, lik, bias, truth.observed(), *parents, spec,
+      prior_proposal());
 
   double case_sum = 0.0, obs_sum = 0.0, death_sum = 0.0;
   for (std::size_t s = 0; s < r.n_sims(); ++s) {
@@ -197,13 +199,16 @@ TEST_P(EnsembleBackend, BatchMatchesPerSimReference) {
   spec.seed = 99;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {sim->initial_state(19, 7)};
+  const auto parents = sim->make_pool();
+  parents->append_checkpoint(sim->initial_state(19, 7));
 
   const WindowResult native = run_importance_window(
-      *sim, lik, bias, truth.observed(), parents, spec, prior_proposal());
+      *sim, lik, lik, bias, truth.observed(), *parents, spec,
+      prior_proposal());
   const PerSimReference reference(*sim);
   const WindowResult persim = run_importance_window(
-      reference, lik, bias, truth.observed(), parents, spec, prior_proposal());
+      reference, lik, lik, bias, truth.observed(), *parents, spec,
+      prior_proposal());
 
   expect_identical_results(native, persim);
 }
@@ -314,7 +319,8 @@ TEST(EnsembleCrn, StreamIdentitySurvivesBatching) {
   const GroundTruth truth = simulate_ground_truth(scenario);
   const SeirSimulator sim(
       {scenario.params, 0.3, scenario.initial_exposed});
-  const std::vector<epi::Checkpoint> parents = {sim.initial_state(19, 7)};
+  const auto parents = sim.make_pool();
+  parents->append_checkpoint(sim.initial_state(19, 7));
 
   WindowSpec spec;
   spec.from_day = 20;
@@ -327,7 +333,8 @@ TEST(EnsembleCrn, StreamIdentitySurvivesBatching) {
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
   const WindowResult r = run_importance_window(
-      sim, lik, bias, truth.observed(), parents, spec, prior_proposal());
+      sim, lik, lik, bias, truth.observed(), *parents, spec,
+      prior_proposal());
 
   std::set<std::uint64_t> streams(r.ensemble.stream.begin(),
                                   r.ensemble.stream.end());
@@ -347,9 +354,7 @@ TEST(EnsembleCrn, StreamIdentitySurvivesBatching) {
     buf.seed[s] = r.ensemble.seed[0];
     buf.stream[s] = r.ensemble.stream[0];
   }
-  const auto pool = sim.make_pool();
-  pool->append_checkpoint(parents[0]);
-  sim.run_batch(*pool, 33, buf, 0, 2);
+  sim.run_batch(*parents, 33, buf, 0, 2);
   const auto row0 = buf.true_cases(0);
   const auto row1 = buf.true_cases(1);
   EXPECT_TRUE(std::equal(row0.begin(), row0.end(), row1.begin(), row1.end()));

@@ -10,7 +10,6 @@
 
 #include "core/importance_sampler.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "parallel/parallel.hpp"
 #include "stats/descriptive.hpp"
 
@@ -65,12 +64,12 @@ TEST(ImportanceWindow, PosteriorConcentratesOnTruth) {
   const Fixture fx;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
 
   const WindowResult result =
-      run_importance_window(fx.simulator, lik, bias, fx.truth.observed(),
-                            parents, default_spec(), prior_proposal());
+      run_importance_window(fx.simulator, lik, lik, bias, fx.truth.observed(),
+                            *parents, default_spec(), prior_proposal());
 
   const auto thetas = result.posterior_thetas();
   const double mean = epismc::stats::mean(thetas);
@@ -84,11 +83,11 @@ TEST(ImportanceWindow, ResultShapesConsistent) {
   const Fixture fx;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
   const WindowSpec spec = default_spec();
   const WindowResult result = run_importance_window(
-      fx.simulator, lik, bias, fx.truth.observed(), parents, spec,
+      fx.simulator, lik, lik, bias, fx.truth.observed(), *parents, spec,
       prior_proposal());
 
   EXPECT_EQ(result.n_sims(), spec.n_params * spec.replicates);
@@ -123,8 +122,8 @@ TEST(ImportanceWindow, ThreadCountInvariant) {
   const Fixture fx;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
   WindowSpec spec = default_spec();
   spec.n_params = 60;
   spec.replicates = 3;
@@ -135,8 +134,9 @@ TEST(ImportanceWindow, ThreadCountInvariant) {
   const int hw_threads = epismc::parallel::max_threads();
   const auto run_with_threads = [&](int threads) {
     epismc::parallel::set_threads(threads);
-    return run_importance_window(fx.simulator, lik, bias, fx.truth.observed(),
-                                 parents, spec, prior_proposal());
+    return run_importance_window(fx.simulator, lik, lik, bias,
+                                 fx.truth.observed(), *parents, spec,
+                                 prior_proposal());
   };
   const WindowResult serial = run_with_threads(1);
   const WindowResult parallel = run_with_threads(std::max(2, hw_threads));
@@ -160,15 +160,15 @@ TEST(ImportanceWindow, CommonRandomNumbersShareNoise) {
   const Fixture fx;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
   WindowSpec spec = default_spec();
   spec.n_params = 10;
   spec.replicates = 2;
 
   spec.common_random_numbers = true;
   const WindowResult crn = run_importance_window(
-      fx.simulator, lik, bias, fx.truth.observed(), parents, spec,
+      fx.simulator, lik, lik, bias, fx.truth.observed(), *parents, spec,
       prior_proposal());
   std::set<std::uint64_t> crn_streams;
   for (const auto s : crn.ensemble.stream) crn_streams.insert(s);
@@ -176,7 +176,7 @@ TEST(ImportanceWindow, CommonRandomNumbersShareNoise) {
 
   spec.common_random_numbers = false;
   const WindowResult indep = run_importance_window(
-      fx.simulator, lik, bias, fx.truth.observed(), parents, spec,
+      fx.simulator, lik, lik, bias, fx.truth.observed(), *parents, spec,
       prior_proposal());
   std::set<std::uint64_t> indep_streams;
   for (const auto s : indep.ensemble.stream) indep_streams.insert(s);
@@ -187,13 +187,13 @@ TEST(ImportanceWindow, IdentityBiasIgnoresRho) {
   const Fixture fx;
   const GaussianSqrtLikelihood lik(1.0);
   const IdentityBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
   WindowSpec spec = default_spec();
   spec.n_params = 40;
   spec.replicates = 2;
   const WindowResult result = run_importance_window(
-      fx.simulator, lik, bias, fx.truth.observed(), parents, spec,
+      fx.simulator, lik, lik, bias, fx.truth.observed(), *parents, spec,
       prior_proposal());
   for (std::size_t s = 0; s < result.n_sims(); ++s) {
     const auto obs = result.ensemble.obs_cases(s);
@@ -206,23 +206,24 @@ TEST(ImportanceWindow, Validation) {
   const Fixture fx;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {
-      fx.simulator.initial_state(19, 7)};
+  const auto parents = fx.simulator.make_pool();
+  parents->append_checkpoint(fx.simulator.initial_state(19, 7));
   WindowSpec spec = default_spec();
   spec.n_params = 0;
-  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, bias,
-                                           fx.truth.observed(), parents, spec,
-                                           prior_proposal()),
+  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, lik, bias,
+                                           fx.truth.observed(), *parents,
+                                           spec, prior_proposal()),
                std::invalid_argument);
   spec = default_spec();
-  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, bias,
-                                           fx.truth.observed(), {}, spec,
+  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, lik, bias,
+                                           fx.truth.observed(),
+                                           *fx.simulator.make_pool(), spec,
                                            prior_proposal()),
                std::invalid_argument);
   spec.to_day = spec.from_day - 1;
-  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, bias,
-                                           fx.truth.observed(), parents, spec,
-                                           prior_proposal()),
+  EXPECT_THROW((void)run_importance_window(fx.simulator, lik, lik, bias,
+                                           fx.truth.observed(), *parents,
+                                           spec, prior_proposal()),
                std::invalid_argument);
 }
 

@@ -18,8 +18,8 @@
 #include "core/importance_sampler.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "parallel/parallel.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -82,9 +82,10 @@ WindowResult run_sharp(const Simulator& sim, const WindowSpec& spec,
                        double sigma = kSharpSigma) {
   const GaussianSqrtLikelihood lik(sigma);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {sim.initial_state(19, 7)};
-  return run_importance_window(sim, lik, bias, sharp_truth().observed(),
-                               parents, spec, prior_proposal());
+  const auto parents = sim.make_pool();
+  parents->append_checkpoint(sim.initial_state(19, 7));
+  return run_importance_window(sim, lik, lik, bias, sharp_truth().observed(),
+                               *parents, spec, prior_proposal());
 }
 
 double mean_of(const std::vector<double>& v) {
@@ -312,8 +313,8 @@ TEST(AdaptiveInference, SequentialCalibrationChainsThroughAdaptiveWindows) {
   cfg.likelihood_parameter = 1.0;  // sharp enough to trigger the ladder
   cfg.inference = InferenceStrategy::kTemperedRejuvenate;
   cfg.ess_threshold = 0.5;
-  SequentialCalibrator cal(*sim, sharp_truth().observed(), cfg);
-  cal.run_all();
+  epismc::stream::StreamingCalibrator cal(*sim, {.calibration = cfg});
+  while (!cal.finished()) cal.ingest_window(sharp_truth().observed());
   ASSERT_EQ(cal.results().size(), 2u);
   for (const WindowResult& w : cal.results()) {
     EXPECT_EQ(w.smc.strategy, InferenceStrategy::kTemperedRejuvenate);

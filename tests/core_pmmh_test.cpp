@@ -10,7 +10,7 @@
 #include "core/pmmh.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -104,8 +104,8 @@ TEST_F(PmmhTest, AgreesWithImportanceSampling) {
   is_cfg.n_params = 250;
   is_cfg.replicates = 6;
   is_cfg.resample_size = 500;
-  SequentialCalibrator cal(*sim_, truth_->observed(), is_cfg);
-  const auto s = summarize_window(cal.run_next_window());
+  epismc::stream::StreamingCalibrator cal(*sim_, {.calibration = is_cfg});
+  const auto s = summarize_window(cal.ingest_window(truth_->observed()));
 
   // Two inference engines, one posterior: means agree within a tolerance
   // driven by both methods' Monte-Carlo error.

@@ -6,7 +6,7 @@
 
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -29,8 +29,8 @@ class PosteriorTest : public ::testing::Test {
     cfg.replicates = 4;
     cfg.resample_size = 240;
     cfg.seed = 777;
-    SequentialCalibrator cal(*sim_, truth_->observed(), cfg);
-    window_ = new WindowResult(cal.run_next_window());
+    epismc::stream::StreamingCalibrator cal(*sim_, {.calibration = cfg});
+    window_ = new WindowResult(cal.ingest_window(truth_->observed()));
   }
 
   static void TearDownTestSuite() {

@@ -18,11 +18,11 @@
 #include "core/importance_sampler.hpp"
 #include "core/posterior.hpp"
 #include "core/scenario.hpp"
-#include "core/sequential_calibrator.hpp"
 #include "core/state_pool.hpp"
-#include "simd/simd.hpp"
 #include "epi/chain_binomial.hpp"
 #include "epi/seir_model.hpp"
+#include "simd/simd.hpp"
+#include "stream/streaming_calibrator.hpp"
 
 namespace {
 
@@ -122,13 +122,14 @@ TEST_P(WindowGolden, SinglePassMatchesPreRefactorTwoPassPath) {
   spec.seed = 99;
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {sim->initial_state(19, 7)};
+  const auto parents = sim->make_pool();
+  parents->append_checkpoint(sim->initial_state(19, 7));
 
   for (const CapturePolicy policy :
        {CapturePolicy::kInline, CapturePolicy::kDeferredReplay}) {
     spec.capture = policy;
     const WindowResult r = run_importance_window(
-        *sim, lik, bias, shared_truth().observed(), parents, spec,
+        *sim, lik, lik, bias, shared_truth().observed(), *parents, spec,
         prior_proposal());
     EXPECT_EQ(r.diag.inline_capture, policy == CapturePolicy::kInline);
     EXPECT_EQ(hash_doubles(r.ensemble.log_weight), gc.log_weight_hash)
@@ -187,8 +188,8 @@ TEST(WindowGolden, SequentialWindowsAndForecastMatchPreRefactor) {
     cfg.resample_size = 80;
     cfg.seed = 777;
     cfg.capture = policy;
-    SequentialCalibrator cal(*sim, shared_truth().observed(), cfg);
-    cal.run_all();
+    epismc::stream::StreamingCalibrator cal(*sim, {.calibration = cfg});
+    while (!cal.finished()) cal.ingest_window(shared_truth().observed());
     const WindowResult& w2 = cal.results()[1];
     EXPECT_EQ(hash_doubles(w2.ensemble.log_weight), 0x06d450bd2c167afeull)
         << to_string(policy);
@@ -393,7 +394,8 @@ TEST(CapturePolicyTest, AutoSwitchesToDeferredUnderTightBudget) {
   const SeirSimulator sim(cfg);
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
-  const std::vector<epi::Checkpoint> parents = {sim.initial_state(19, 7)};
+  const auto parents = sim.make_pool();
+  parents->append_checkpoint(sim.initial_state(19, 7));
 
   WindowSpec spec;
   spec.from_day = 20;
@@ -406,13 +408,13 @@ TEST(CapturePolicyTest, AutoSwitchesToDeferredUnderTightBudget) {
 
   spec.inline_state_budget = std::size_t{1} << 40;  // effectively unlimited
   const WindowResult inline_r = run_importance_window(
-      sim, lik, bias, shared_truth().observed(), parents, spec,
+      sim, lik, lik, bias, shared_truth().observed(), *parents, spec,
       prior_proposal());
   EXPECT_TRUE(inline_r.diag.inline_capture);
 
   spec.inline_state_budget = 1;  // nothing fits: forced deferred replay
   const WindowResult deferred_r = run_importance_window(
-      sim, lik, bias, shared_truth().observed(), parents, spec,
+      sim, lik, lik, bias, shared_truth().observed(), *parents, spec,
       prior_proposal());
   EXPECT_FALSE(deferred_r.diag.inline_capture);
 
@@ -465,13 +467,17 @@ TEST(StatePoolTest, CheckpointPoolBridgesRunWindowOnlySimulators) {
   const GaussianSqrtLikelihood lik(1.0);
   const BinomialBias bias;
 
-  const std::vector<epi::Checkpoint> parents = {native.initial_state(19, 7)};
+  const epi::Checkpoint initial = native.initial_state(19, 7);
+  const auto native_parents = native.make_pool();
+  native_parents->append_checkpoint(initial);
+  const auto custom_parents = custom.make_pool();
+  custom_parents->append_checkpoint(initial);
   const WindowResult from_native = run_importance_window(
-      native, lik, bias, shared_truth().observed(), parents, spec,
-      prior_proposal());
+      native, lik, lik, bias, shared_truth().observed(), *native_parents,
+      spec, prior_proposal());
   const WindowResult from_custom = run_importance_window(
-      custom, lik, bias, shared_truth().observed(), parents, spec,
-      prior_proposal());
+      custom, lik, lik, bias, shared_truth().observed(), *custom_parents,
+      spec, prior_proposal());
   // The custom path really ran on the blob pool...
   ASSERT_TRUE(from_custom.state_pool);
   EXPECT_EQ(from_custom.state_pool->backend(), "checkpoint");

@@ -401,6 +401,119 @@ TEST(StreamingCalibrator, CheckpointResumeBitExact) {
   expect_window_bit_identical(ref.results()[1], b.results().back());
 }
 
+// history() through the archive encoding, wall-clock fields zeroed: every
+// other byte must survive a checkpoint/resume unchanged.
+std::vector<std::byte> history_bytes(
+    std::vector<stream::StreamWindowRecord> history) {
+  for (stream::StreamWindowRecord& w : history) {
+    w.diag.propagate_seconds = 0.0;
+    w.diag.checkpoint_seconds = 0.0;
+  }
+  StreamState st;
+  st.history = std::move(history);
+  io::BinaryWriter out(StreamState::kArchiveVersion);
+  st.serialize(out);
+  return out.bytes();
+}
+
+TEST(StreamingCalibrator, WholeWindowCheckpointResumeBitExact) {
+  CalibrationConfig cfg = small_config();
+  cfg.windows = {{20, 26}, {27, 33}, {34, 40}, {41, 47}};
+  const ObservedData data = test_truth().observed();
+  const auto path = std::filesystem::temp_directory_path() /
+                    "epismc_whole_window_ckpt.bin";
+  const io::CheckpointRotation rotation{path};
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+
+  // Uninterrupted reference: the session's own whole-window run.
+  auto ref_session = make_session(cfg, "seir-event");
+  ref_session.run_all();
+  const StreamingCalibrator& ref = ref_session.calibrator();
+  ASSERT_EQ(ref.results().size(), 4u);
+
+  // Interrupted run: two whole windows, a checkpoint at the boundary, then
+  // the process "dies". Only checkpoint_now writes (the cadence is never
+  // reached).
+  api::StreamOptions options;
+  options.checkpoint_every = 1000;
+  options.checkpoint_path = path;
+  {
+    auto a_session = make_session(cfg, "seir-event");
+    StreamingCalibrator a = a_session.stream(options);
+    a.ingest_window(data);
+    a.ingest_window(data);
+    a.checkpoint_now();
+  }
+
+  auto b_session = make_session(cfg, "seir-event");
+  options.resume_latest = true;
+  StreamingCalibrator b = b_session.stream(options);
+  ASSERT_TRUE(b.last_recovery().has_value());
+  EXPECT_EQ(b.windows_completed(), 2u);
+  EXPECT_FALSE(b.window_open());
+  EXPECT_EQ(b.next_expected_day(), 34);
+  b.ingest_window(data);
+  b.ingest_window(data);
+  ASSERT_TRUE(b.finished());
+
+  EXPECT_EQ(history_bytes(ref.history()), history_bytes(b.history()));
+  // The resumed process holds windows 3-4 in full; their posteriors, state
+  // pools and diagnostics match the uninterrupted run bit for bit.
+  ASSERT_EQ(b.results().size(), 2u);
+  for (std::size_t w = 0; w < 2; ++w) {
+    SCOPED_TRACE("window " + std::to_string(w + 2));
+    expect_window_bit_identical(ref.results()[w + 2], b.results()[w]);
+    EXPECT_EQ(ref.results()[w + 2].posterior_thetas(),
+              b.results()[w].posterior_thetas());
+    EXPECT_EQ(ref.results()[w + 2].posterior_rhos(),
+              b.results()[w].posterior_rhos());
+  }
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+}
+
+TEST(StreamingCalibrator, WholeWindowsCountTowardCheckpointCadence) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    "epismc_whole_window_cadence.bin";
+  const io::CheckpointRotation rotation{path};
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+
+  // A whole window assimilates its 14 days at once, which meets a 14-day
+  // cadence: the boundary state lands on disk without checkpoint_now.
+  auto session = make_session(small_config(), "seir-event");
+  api::StreamOptions options;
+  options.checkpoint_every = 14;
+  options.checkpoint_path = path;
+  StreamingCalibrator cal = session.stream(options);
+  cal.ingest_window(test_truth().observed());
+  ASSERT_TRUE(std::filesystem::exists(rotation.slot_a()));
+  const StreamState st = StreamState::load(rotation.slot_a());
+  EXPECT_EQ(st.cursor, 33);
+  EXPECT_EQ(st.window_index, 1u);
+  EXPECT_FALSE(st.window_open);
+  EXPECT_EQ(st.days_since_checkpoint, 0u);
+  std::filesystem::remove(rotation.slot_a());
+  std::filesystem::remove(rotation.slot_b());
+}
+
+TEST(StreamingCalibrator, IngestWindowOnlyAtWindowBoundaries) {
+  const ObservedData data = test_truth().observed();
+  auto session = make_session(small_config(), "seir-event");
+  StreamingCalibrator cal = session.stream();
+  feed_days(cal, 20, 25);
+  ASSERT_TRUE(cal.window_open());
+  EXPECT_THROW((void)cal.ingest_window(data), std::logic_error);
+  // The refused call left the open window untouched: the daily feed
+  // resumes where it stopped, and the next boundary takes a whole window.
+  EXPECT_EQ(cal.next_expected_day(), 26);
+  feed_days(cal, 26, 33);
+  EXPECT_EQ(cal.ingest_window(data).to_day, 47);
+  ASSERT_TRUE(cal.finished());
+  EXPECT_THROW((void)cal.ingest_window(data), std::logic_error);
+}
+
 TEST(StreamingCalibrator, AutomaticCheckpointsLandOnDisk) {
   const auto path = std::filesystem::temp_directory_path() /
                     "epismc_stream_auto_ckpt.bin";
